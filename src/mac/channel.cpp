@@ -9,7 +9,10 @@
 namespace sstsp::mac {
 
 Channel::Channel(sim::Simulator& sim, const PhyParams& phy)
-    : Medium(phy), sim_(sim), rng_(sim.substream("channel", 0)) {}
+    : Medium(phy),
+      sim_(sim),
+      fan_out_(stations_),
+      rng_(sim.substream("channel", 0)) {}
 
 std::size_t Channel::add_station(Position pos, RxHandler handler) {
   stations_.push_back(StationRec{pos, std::move(handler), true,
@@ -186,10 +189,10 @@ void Channel::finish_transmission(std::uint64_t tx_id) {
     overlap_senders_.push_back(other.sender);
   }
 
-  // One shared frame for the whole fan-out; receiver closures hold a
-  // reference instead of a copy (the deque entry may be pruned before the
-  // delivery events fire).
-  auto frame = std::make_shared<const Frame>(tx->frame);
+  // One fan-out record for the whole transmission: every receiver's item
+  // points at the shared frame (the deque entry may be pruned before the
+  // deliveries fire) or, after a corrupt verdict, at the record's copy.
+  auto& fan = fan_out_.acquire(std::make_shared<const Frame>(tx->frame));
   bool lost_to_interference = false;
 
   auto consider_receiver = [&](std::size_t s) {
@@ -231,7 +234,7 @@ void Channel::finish_transmission(std::uint64_t tx_id) {
     // above stays byte-identical with and without a plan attached.
     fault::DeliveryVerdict verdict;
     if (fault_ != nullptr) {
-      verdict = fault_->on_delivery(sim_.now().to_sec(), frame->sender,
+      verdict = fault_->on_delivery(sim_.now().to_sec(), fan.frame()->sender,
                                     static_cast<NodeId>(s));
       if (verdict.drop) return;
     }
@@ -242,10 +245,8 @@ void Channel::finish_transmission(std::uint64_t tx_id) {
     if (verdict.extra_delay_us > 0.0) {
       delivered += sim::SimTime::from_us_double(verdict.extra_delay_us);
     }
-    std::shared_ptr<const Frame> effective = frame;
-    if (verdict.corrupt) {
-      effective = std::make_shared<const Frame>(fault::corrupt_frame(*frame));
-    }
+    const Frame* effective = fan.frame();
+    if (verdict.corrupt) effective = fan.keep(fault::corrupt_frame(*effective));
 
     RxInfo info;
     info.delivered = delivered;
@@ -255,10 +256,7 @@ void Channel::finish_transmission(std::uint64_t tx_id) {
     if (instruments_ != nullptr) {
       instruments_->on_delivery((delivered - start).to_us());
     }
-
-    sim_.at(delivered, [this, s, effective, info] {
-      if (stations_[s].listening) stations_[s].handler(*effective, info);
-    });
+    fan.add(s, info, effective);
 
     for (const double dup_delay_us : verdict.duplicate_delays_us) {
       RxInfo dup = info;
@@ -267,9 +265,7 @@ void Channel::finish_transmission(std::uint64_t tx_id) {
       if (instruments_ != nullptr) {
         instruments_->on_delivery((dup.delivered - start).to_us());
       }
-      sim_.at(dup.delivered, [this, s, effective, dup] {
-        if (stations_[s].listening) stations_[s].handler(*effective, dup);
-      });
+      fan.add(s, dup, effective);
     }
   };
 
@@ -279,6 +275,7 @@ void Channel::finish_transmission(std::uint64_t tx_id) {
   } else {
     for (std::size_t s = 0; s < stations_.size(); ++s) consider_receiver(s);
   }
+  fan_out_.submit(sim_, fan);
   if (lost_to_interference) ++stats_.collided_transmissions;
   // Completed records are reclaimed here as well, so delivered entries do
   // not linger until the next transmit() call.

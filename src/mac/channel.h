@@ -30,9 +30,14 @@
 //     scan over every station.  Candidates are visited in ascending station
 //     index, which keeps the per-receiver RNG draw order — and therefore
 //     every seeded run — byte-identical to the brute-force scan.
-//   * The delivery fan-out shares one heap-allocated Frame between all
-//     receivers of a transmission (shared_ptr<const Frame>) instead of
-//     copying the frame into every receiver's closure.
+//   * The delivery fan-out is one pooled record per transmission
+//     (mac/fan_out.h): the shared frame plus a (receiver, RxInfo, frame*)
+//     item per delivery, in scheduling order (ascending receiver, each
+//     duplicate right after its primary).  The simulator fires it as one
+//     batch: the items reserve consecutive sequence numbers and only the
+//     earliest unfired one sits in the heap, yet each still counts as one
+//     event and one unit of queue depth, so pop order, event count and
+//     queue-depth histogram match one closure per delivery exactly.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +46,7 @@
 #include <memory>
 #include <vector>
 
+#include "mac/fan_out.h"
 #include "mac/frame.h"
 #include "mac/medium.h"
 #include "mac/phy_params.h"
@@ -161,6 +167,7 @@ class Channel final : public Medium {
 
   sim::Simulator& sim_;
   std::vector<StationRec> stations_;
+  FanOutPool<StationRec> fan_out_;
   std::deque<Tx> recent_;  // transmissions still relevant for CS/delivery
   std::uint64_t next_tx_id_{1};
   sim::Rng rng_;

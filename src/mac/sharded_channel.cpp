@@ -10,7 +10,11 @@ namespace sstsp::mac {
 
 ShardChannel::ShardChannel(ShardedWorld& world, int shard,
                            sim::Simulator& sim, const PhyParams& phy)
-    : Medium(phy), world_(world), shard_(shard), sim_(sim) {}
+    : Medium(phy),
+      world_(world),
+      shard_(shard),
+      sim_(sim),
+      fan_out_(stations_) {}
 
 std::size_t ShardChannel::add_station(Position pos, RxHandler handler) {
   LocalStation st;
@@ -126,6 +130,7 @@ void ShardChannel::evaluate(const TxRec& tx) {
   const double nominal_us = nominal_delay_us(tx.end - tx.start);
   const bool finite_range = phy_.radio_range_m > 0.0;
   bool corrupted_any = false;
+  auto& fan = fan_out_.acquire(tx.frame);
 
   auto consider_receiver = [&](std::size_t s) {
     LocalStation& rx = stations_[s];
@@ -183,10 +188,7 @@ void ShardChannel::evaluate(const TxRec& tx) {
     if (instruments_ != nullptr) {
       instruments_->on_delivery((info.delivered - tx.start).to_us());
     }
-    std::shared_ptr<const Frame> frame = tx.frame;
-    sim_.at(info.delivered, [this, s, frame, info] {
-      if (stations_[s].listening) stations_[s].handler(*frame, info);
-    });
+    fan.add(s, info, fan.frame());
   };
 
   if (finite_range) {
@@ -196,6 +198,7 @@ void ShardChannel::evaluate(const TxRec& tx) {
   } else {
     for (std::size_t s = 0; s < stations_.size(); ++s) consider_receiver(s);
   }
+  fan_out_.submit(sim_, fan);
   eval_results_.emplace_back(tx.id, corrupted_any);
 }
 

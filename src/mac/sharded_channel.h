@@ -17,8 +17,9 @@
 //   * settle (parallel, per shard per window): each shard evaluates every
 //     known transmission whose end lies inside the closed window — in
 //     (end, tx id) order — against its OWN stations only: range check,
-//     half-duplex, per-receiver interference, PER draw, latency draw,
-//     delivery scheduling on the shard's simulator.
+//     half-duplex, per-receiver interference, PER draw, latency draw, and
+//     one fan-out record (mac/fan_out.h) per transmission scheduled as a
+//     batch on the shard's simulator.
 //   * commit (serial, per window): per-receiver-shard corruption verdicts
 //     are OR-ed across shards so collided_transmissions counts each
 //     transmission once, exactly like the single-kernel channel.
@@ -43,6 +44,7 @@
 #include <memory>
 #include <vector>
 
+#include "mac/fan_out.h"
 #include "mac/medium.h"
 #include "sim/simulator.h"
 
@@ -140,6 +142,7 @@ class ShardChannel final : public Medium {
   int shard_;
   sim::Simulator& sim_;
   std::vector<LocalStation> stations_;
+  FanOutPool<LocalStation> fan_out_;
   std::deque<TxRec> txs_;
   std::vector<Announcement> outbox_;  ///< drained serially at exchange
   /// (tx id, any-local-receiver-corrupted) for this window's evaluations;

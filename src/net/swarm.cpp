@@ -419,16 +419,19 @@ void Swarm::schedule_faults() {
 }
 
 void Swarm::schedule_sampling() {
+  sim_.at(sim::SimTime::from_sec_double(config_.sample_period_s),
+          [this] { sampling_tick(); });
+}
+
+void Swarm::sampling_tick() {
+  // Each sample schedules the next through this member, so no closure has
+  // to own itself.
+  sample_clock_spread();
   const auto period = sim::SimTime::from_sec_double(config_.sample_period_s);
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [this, period, tick] {
-    sample_clock_spread();
-    if (sim_.now() + period <=
-        sim::SimTime::from_sec_double(config_.duration_s)) {
-      sim_.after(period, *tick);
-    }
-  };
-  sim_.at(period, *tick);
+  if (sim_.now() + period <=
+      sim::SimTime::from_sec_double(config_.duration_s)) {
+    sim_.after(period, [this] { sampling_tick(); });
+  }
 }
 
 void Swarm::sample_clock_spread() {

@@ -7,6 +7,7 @@
 #include <memory>
 #include <vector>
 
+#include "clock/drift_model.h"
 #include "core/key_directory.h"
 #include "fault/injector.h"
 #include "fault/recovery.h"
@@ -134,8 +135,10 @@ class Network {
   void build_stations();
   void schedule_environment();
   void schedule_clock_stress();
+  void clock_stress_tick();
   void schedule_faults();
   void schedule_sampling();
+  void sampling_tick();
   void sample_clock_spread();
   void sample_cluster(sim::SimTime now);
   void emit_telemetry(sim::SimTime now, bool have, double lo, double hi,
@@ -164,6 +167,7 @@ class Network {
   metrics::Series max_diff_;
   metrics::Series cluster_spread_;
   metrics::Series attach_fraction_;
+  std::vector<clk::DriftStressor> stressors_;  // one per honest node
   std::vector<double> sample_values_;  // reused per sampling tick
   std::vector<double> cluster_sum_;    // per-cluster scratch, cluster runs
   std::vector<int> cluster_n_;

@@ -11,6 +11,13 @@ EventId Simulator::at(SimTime when, EventQueue::Callback fn) {
   return queue_.schedule(when, std::move(fn));
 }
 
+void Simulator::fan_out(std::span<SimTime> times, BatchTarget& target) {
+  for (SimTime& t : times) {
+    if (t < now_) t = now_;
+  }
+  queue_.schedule_batch(times, target);
+}
+
 bool Simulator::step(SimTime horizon) {
   if (queue_.empty()) return false;
   if (queue_.next_time() > horizon) return false;

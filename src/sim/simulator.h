@@ -41,6 +41,11 @@ class Simulator {
     return at(now_ + delay, std::move(fn));
   }
 
+  /// Schedules a fan-out batch: `target.fire(i)` at `times[i]` for every
+  /// i, each item one event (EventQueue::schedule_batch).  Like at(), it
+  /// clamps times before now to now (in place).
+  void fan_out(std::span<SimTime> times, BatchTarget& target);
+
   bool cancel(EventId id) { return queue_.cancel(id); }
 
   /// Runs events until the queue drains or the horizon is passed.  Events
