@@ -221,27 +221,9 @@ void ClusterSstsp::ingest_bridge(TauTracker& tracker,
 }
 
 const proto::ProtocolStats& ClusterSstsp::stats() const {
-  const auto add = [](proto::ProtocolStats& acc,
-                      const proto::ProtocolStats& s) {
-    acc.beacons_sent += s.beacons_sent;
-    acc.beacons_received += s.beacons_received;
-    acc.adoptions += s.adoptions;
-    acc.adjustments += s.adjustments;
-    acc.rejected_interval += s.rejected_interval;
-    acc.rejected_key += s.rejected_key;
-    acc.rejected_mac += s.rejected_mac;
-    acc.rejected_guard += s.rejected_guard;
-    acc.elections_won += s.elections_won;
-    acc.demotions += s.demotions;
-    acc.coarse_steps += s.coarse_steps;
-    acc.solver_rejections += s.solver_rejections;
-    for (std::size_t v = 0; v < acc.discipline_verdicts.size(); ++v) {
-      acc.discipline_verdicts[v] += s.discipline_verdicts[v];
-    }
-  };
   merged_ = stats_;  // this wrapper's own bridge-plane receive counters
-  add(merged_, member_->stats());
-  if (uplink_) add(merged_, uplink_->stats());
+  merged_ += member_->stats();
+  if (uplink_) merged_ += uplink_->stats();
   if (bridge_) merged_.beacons_sent += bridge_->announcements();
   return merged_;
 }

@@ -56,8 +56,10 @@ struct PhyParams {
 
   /// Radio range: stations further apart than this neither receive nor
   /// carrier-sense each other.  <= 0 means unlimited (the paper's IBSS
-  /// setting: all nodes in each other's transmission range).  Finite
-  /// ranges enable the multi-hop extension (src/multihop/).
+  /// setting: all nodes in each other's transmission range).  A finite
+  /// range also makes both channels bucket stations into a grid of
+  /// range-sized cells, lets the sharded kernel partition space, and is
+  /// what the cluster layout's geometry contract is checked against.
   double radio_range_m = 0.0;
 
   /// On-air frame sizes, for traffic accounting only (paper §3.4: 56-byte

@@ -1,6 +1,7 @@
 #include "net/node.h"
 
 #include "crypto/hash_chain.h"
+#include "runner/harness.h"
 
 namespace sstsp::net {
 
@@ -85,7 +86,8 @@ void NodeRuntime::start_telemetry(
     obs::TelemetrySampler::EmitFn emit) {
   sampler_ = std::make_unique<obs::TelemetrySampler>(
       options, [this, emit = std::move(emit)](const obs::TelemetrySample& s) {
-        if (station_->flight() != nullptr) station_->flight()->on_sample(s);
+        const proto::Observers* obs = station_->observers();
+        if (obs != nullptr && obs->flight != nullptr) obs->flight->on_sample(s);
         if (emit) emit(s);
       });
   telemetry_period_ = sim::SimTime::from_sec_double(options.interval_s);
@@ -115,23 +117,15 @@ void NodeRuntime::emit_telemetry_sample() {
   // Per-node samples carry no offset error: a live node has no ground
   // truth to compare against (the swarm's cluster samples do).
   s.queue_depth = sim_.events_pending();
-  if (station_->monitor() != nullptr) {
-    s.audit_records = station_->monitor()->total_violations();
+  if (const proto::Observers* obs = station_->observers()) {
+    if (obs->monitor != nullptr) {
+      s.audit_records = obs->monitor->total_violations();
+    }
+    s.recovery_pending = obs->recovery != nullptr && obs->recovery->pending();
   }
-  s.recovery_pending =
-      station_->recovery() != nullptr && station_->recovery()->pending();
-
-  const auto& stats = station_->protocol().stats();
-  obs::TelemetryCumulative cum;
-  cum.beacons_tx = stats.beacons_sent;
-  cum.beacons_rx = stats.beacons_received;
-  cum.adjustments = stats.adjustments + stats.adoptions;
-  cum.coarse_steps = stats.coarse_steps;
-  cum.rejects = stats.rejected_interval + stats.rejected_key +
-                stats.rejected_mac + stats.rejected_guard;
-  cum.elections = stats.elections_won;
-  cum.events = sim_.events_processed();
-  sampler_->emit(sim_.now().to_sec(), std::move(s), cum);
+  sampler_->emit(sim_.now().to_sec(), std::move(s),
+                 run::telemetry_totals(station_->protocol().stats(),
+                                       sim_.events_processed()));
 }
 
 void NodeRuntime::on_local_frame(const mac::Frame& frame) {

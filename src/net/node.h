@@ -155,26 +155,15 @@ class NodeRuntime {
     wall_now_ = std::move(wall_now);
   }
 
-  // Observability attachment, same sharing model as run::Network.
-  void set_trace(trace::EventTrace* sink) { station_->set_trace(sink); }
-  void set_instruments(obs::Instruments* instruments) {
-    station_->set_instruments(instruments);
-    channel_.set_instruments(instruments);
+  /// Attaches the run's observers to the station and the private channel
+  /// (nullptr detaches); see proto::Station::attach.
+  void attach(const proto::Observers* observers) {
+    station_->attach(observers);
+    channel_.set_instruments(observers != nullptr ? observers->instruments
+                                                  : nullptr);
+    channel_.set_profiler(observers != nullptr ? observers->profiler
+                                               : nullptr);
   }
-  void set_profiler(obs::Profiler* profiler) {
-    station_->set_profiler(profiler);
-    channel_.set_profiler(profiler);
-  }
-  void set_monitor(obs::InvariantMonitor* monitor) {
-    station_->set_monitor(monitor);
-  }
-  void set_lifecycle(trace::BeaconLifecycle* lifecycle) {
-    station_->set_lifecycle(lifecycle);
-  }
-  void set_recovery(fault::RecoveryTracker* recovery) {
-    station_->set_recovery(recovery);
-  }
-  void set_flight(obs::FlightRecorder* flight) { station_->set_flight(flight); }
 
   /// Starts periodic telemetry sampling: one source="node" sample per
   /// options.interval_s of the hosting timeline (wall-paced when a Reactor

@@ -9,10 +9,10 @@
 //     loopback host, unicast peer mesh over the discovered ephemeral
 //     ports, paced in real time by a net::Reactor (so a 10 s run takes
 //     10 s of wall clock),
-// and shares one observability surface (metrics registry, event trace,
-// invariant monitor, beacon lifecycle) across all of them — the same
-// sharing model as run::Network, so the PR-2 audit/trace tooling consumes
-// a live run unchanged.
+// and observes them through the same run harness as run::Network
+// (runner/harness.h): one ObserverSet built from reporting_scenario(),
+// attached to every node, and one Harness sampling the clock spread — so
+// the audit/trace tooling consumes a live run unchanged.
 //
 // The result is reported as a run::RunResult (plus RunResult::net wire
 // accounting) against a synthesized run::Scenario, which makes the JSON
@@ -26,29 +26,18 @@
 #include <string>
 #include <vector>
 
-#include "fault/injector.h"
 #include "fault/plan.h"
-#include "fault/recovery.h"
 #include "fault/transport.h"
-#include "metrics/series.h"
 #include "net/loopback.h"
 #include "net/node.h"
 #include "net/prom_exporter.h"
 #include "net/reactor.h"
 #include "net/telemetry_link.h"
 #include "net/udp.h"
-#include "obs/flight_recorder.h"
-#include "obs/telemetry.h"
-#include "obs/instruments.h"
-#include "obs/invariants.h"
-#include "obs/metrics.h"
-#include "obs/profiler.h"
-#include "obs/sampler.h"
 #include "runner/experiment.h"
+#include "runner/harness.h"
 #include "runner/scenario.h"
 #include "sim/simulator.h"
-#include "trace/event_trace.h"
-#include "trace/lifecycle.h"
 
 namespace sstsp::net {
 
@@ -152,8 +141,11 @@ class Swarm {
   /// Derives the run report; call after run().
   [[nodiscard]] run::RunResult collect();
 
-  /// The scenario the report is written against (for json_report).
-  [[nodiscard]] run::Scenario reporting_scenario() const;
+  /// The scenario the observers were built from and the report is
+  /// written against (for json_report).
+  [[nodiscard]] const run::Scenario& reporting_scenario() const {
+    return scenario_;
+  }
 
   [[nodiscard]] int node_count() const {
     return static_cast<int>(nodes_.size());
@@ -162,35 +154,17 @@ class Swarm {
     return *nodes_[static_cast<std::size_t>(i)];
   }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
-  [[nodiscard]] trace::EventTrace* trace() { return trace_.get(); }
-  [[nodiscard]] obs::Profiler* profiler() { return profiler_.get(); }
-  [[nodiscard]] obs::PhaseSampler* phase_sampler() {
-    return phase_sampler_.get();
-  }
+  [[nodiscard]] run::ObserverSet& observers() { return observers_; }
+  [[nodiscard]] trace::EventTrace* trace() { return observers_.trace(); }
+  [[nodiscard]] obs::Profiler* profiler() { return observers_.profiler(); }
   [[nodiscard]] PromExporter* prom_exporter() { return prom_.get(); }
-  [[nodiscard]] obs::InvariantMonitor* monitor() { return monitor_.get(); }
-  [[nodiscard]] trace::BeaconLifecycle* lifecycle() {
-    return lifecycle_.get();
-  }
   [[nodiscard]] const SwarmConfig& config() const { return config_; }
-  [[nodiscard]] fault::RecoveryTracker* recovery_tracker() {
-    return recovery_.get();
-  }
-  [[nodiscard]] obs::TelemetrySampler* telemetry_sampler() {
-    return sampler_.get();
-  }
-  [[nodiscard]] obs::FlightRecorder* flight_recorder() {
-    return flight_.get();
-  }
-  [[nodiscard]] TelemetryCollector* telemetry_collector() {
-    return collector_.get();
-  }
 
   /// Arms SIGUSR1-style dump requests: when *flag becomes nonzero, the next
   /// sampling tick resets it and dumps the flight recorder (no-op without
   /// --flight-recorder).
   void set_dump_request_flag(volatile std::sig_atomic_t* flag) {
-    dump_flag_ = flag;
+    observers_.set_dump_request_flag(flag);
   }
 
   /// Nodes that collect() found dead or silent without a planned fault —
@@ -202,10 +176,14 @@ class Swarm {
   }
 
   /// The node currently holding the reference role, if any.
-  [[nodiscard]] std::optional<mac::NodeId> current_reference() const;
+  [[nodiscard]] std::optional<mac::NodeId> current_reference() const {
+    return harness_.current_reference();
+  }
   /// Max pairwise adjusted-clock offset over awake synchronized nodes at
   /// the current instant (nullopt until at least one node synchronizes).
-  [[nodiscard]] std::optional<double> instant_max_diff_us() const;
+  [[nodiscard]] std::optional<double> instant_max_diff_us() const {
+    return harness_.instant_max_diff_us();
+  }
 
   /// Async-signal-safe Ctrl-C support (UDP mode; loopback runs are not
   /// interruptible mid-flight, they finish in milliseconds).
@@ -217,36 +195,21 @@ class Swarm {
   explicit Swarm(const SwarmConfig& config);
 
   [[nodiscard]] bool init(std::string* error);
-  [[nodiscard]] bool init_telemetry(std::string* error);
+  [[nodiscard]] bool init_telemetry_link(std::string* error);
   void arm();
-  void schedule_faults();
-  void schedule_sampling();
-  void sampling_tick();
-  void sample_clock_spread();
-  void emit_telemetry(sim::SimTime now, bool have, double lo, double hi,
-                      double sum);
-  void write_sample(const obs::TelemetrySample& sample);
   void print_watch_line(const obs::TelemetrySample& sample);
   [[nodiscard]] std::string prometheus_scrape_body();
 
   SwarmConfig config_;
+  const run::Scenario scenario_;
   sim::Simulator sim_;
+  run::ObserverSet observers_;
+  run::Harness harness_;
 
   std::unique_ptr<Reactor> reactor_;             ///< UDP mode
   std::vector<std::unique_ptr<UdpTransport>> udp_;
   std::unique_ptr<LoopbackHub> hub_;             ///< loopback mode
-
-  obs::Registry registry_;
-  std::unique_ptr<obs::Instruments> instruments_;
-  std::unique_ptr<obs::Profiler> profiler_;
-  std::unique_ptr<obs::PhaseSampler> phase_sampler_;
   std::unique_ptr<PromExporter> prom_;
-  std::unique_ptr<obs::InvariantMonitor> monitor_;
-  std::unique_ptr<trace::BeaconLifecycle> lifecycle_;
-  std::unique_ptr<trace::EventTrace> trace_;
-
-  std::unique_ptr<fault::FaultInjector> injector_;
-  std::unique_ptr<fault::RecoveryTracker> recovery_;
   std::vector<std::unique_ptr<fault::FaultyTransport>> faulty_;
 
   std::vector<std::unique_ptr<NodeRuntime>> nodes_;
@@ -255,20 +218,15 @@ class Swarm {
   std::vector<bool> expected_down_;
   std::vector<mac::NodeId> failed_nodes_;
 
-  metrics::Series max_diff_;
-  std::vector<double> sample_values_;
   bool armed_{false};
   double wall_seconds_{0.0};
 
-  // Telemetry pipeline.  Everything below runs on the single sim/reactor
-  // thread (collector callbacks included), so no locking is needed.
-  std::unique_ptr<obs::JsonlSink> telemetry_sink_;
-  std::unique_ptr<obs::TelemetrySampler> sampler_;  ///< cluster samples
-  std::unique_ptr<obs::JsonlSink> flight_sink_;
-  std::unique_ptr<obs::FlightRecorder> flight_;
-  std::vector<std::unique_ptr<TelemetryExporter>> exporters_;  ///< UDP mode
-  std::unique_ptr<TelemetryCollector> collector_;              ///< UDP mode
-  volatile std::sig_atomic_t* dump_flag_{nullptr};
+  // Live telemetry link (UDP mode): nodes publish their samples as
+  // datagrams to the collector, which folds them into the aggregate
+  // stream.  Everything runs on the single sim/reactor thread (collector
+  // callbacks included), so no locking is needed.
+  std::vector<std::unique_ptr<TelemetryExporter>> exporters_;
+  std::unique_ptr<TelemetryCollector> collector_;
 };
 
 }  // namespace sstsp::net

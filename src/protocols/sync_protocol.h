@@ -36,6 +36,25 @@ struct ProtocolStats {
   /// array; core static_asserts the bound).  solver_rejections stays the
   /// legacy aggregate of the rejecting verdicts.
   std::array<std::uint64_t, 8> discipline_verdicts{};
+
+  ProtocolStats& operator+=(const ProtocolStats& o) {
+    beacons_sent += o.beacons_sent;
+    beacons_received += o.beacons_received;
+    adoptions += o.adoptions;
+    adjustments += o.adjustments;
+    rejected_interval += o.rejected_interval;
+    rejected_key += o.rejected_key;
+    rejected_mac += o.rejected_mac;
+    rejected_guard += o.rejected_guard;
+    elections_won += o.elections_won;
+    demotions += o.demotions;
+    coarse_steps += o.coarse_steps;
+    solver_rejections += o.solver_rejections;
+    for (std::size_t v = 0; v < discipline_verdicts.size(); ++v) {
+      discipline_verdicts[v] += o.discipline_verdicts[v];
+    }
+    return *this;
+  }
 };
 
 class SyncProtocol {

@@ -26,14 +26,9 @@ RunResult collect_result(Network& net, double wall_seconds) {
   result.channel = net.channel_stats();
   result.honest = net.honest_stats();
   if (const auto* atk = net.attacker_stats()) result.attacker = *atk;
-  result.metrics = net.metrics_registry().snapshot();
   result.events_processed = net.simulator().events_processed();
   result.wall_seconds = wall_seconds;
-  if (net.profiler() != nullptr) {
-    result.profile =
-        net.profiler()->snapshot(result.events_processed, wall_seconds);
-  }
-  if (net.monitor() != nullptr) result.audit = net.monitor()->report();
+  net.observers().report(result);
   if (scenario.cluster.enabled()) {
     result.cluster_spread = net.cluster_spread_series();
     result.attach_fraction = net.attach_fraction_series();
@@ -46,10 +41,6 @@ RunResult collect_result(Network& net, double wall_seconds) {
     const double steady_from = std::max(20.0, latency.value_or(0.0) + 5.0);
     result.cluster_steady_max_us =
         result.cluster_spread.max_in(steady_from, scenario.duration_s);
-  }
-  if (net.recovery_tracker() != nullptr) {
-    net.recovery_tracker()->finalize(net.fault_injector()->stats());
-    result.recovery = net.recovery_tracker()->report();
   }
 
   derive_series_stats(result, scenario.duration_s);

@@ -2,16 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
 
-#include "attack/adversary.h"
-#include "core/sstsp.h"
 #include "crypto/hash_chain.h"
-#include "obs/json.h"
-#include "protocols/tsf_family.h"
 
 namespace sstsp::run {
 
@@ -58,107 +53,56 @@ std::size_t vm_hwm_kb() {
   return kb;
 }
 
+/// The sampling side observes with instruments only; the trace and the
+/// profiler belong to the shards' stations.
+Scenario control_scope(Scenario s) {
+  s.trace_capacity = 0;
+  s.profile = false;
+  return s;
+}
+
 }  // namespace
 
 ParallelNetwork::ParallelNetwork(const Scenario& scenario)
     : scenario_(scenario),
       exec_(exec_options(scenario), scenario.seed),
-      attacker_index_(0) {
+      control_observers_(control_scope(scenario_), exec_.control()),
+      harness_(scenario_, exec_.control(), control_observers_) {
   const int shards = exec_.shard_count();
-  if (scenario_.collect_metrics) {
-    registries_.reserve(static_cast<std::size_t>(shards));
-    instruments_.reserve(static_cast<std::size_t>(shards));
-    for (int s = 0; s < shards; ++s) {
-      registries_.push_back(std::make_unique<obs::Registry>());
-      instruments_.push_back(
-          std::make_unique<obs::Instruments>(*registries_.back()));
-    }
-    control_instruments_ =
-        std::make_unique<obs::Instruments>(control_registry_);
-    if (scenario_.sstsp.discipline.effective_name() != "paper") {
-      // Same non-default-only rule as Network: the default registry
-      // snapshot must stay byte-identical across kernels.
-      for (auto& ins : instruments_) {
-        ins->enable_discipline(scenario_.sstsp.discipline.effective_name(),
-                               core::discipline_verdict_names());
-      }
-      control_instruments_->enable_discipline(
-          scenario_.sstsp.discipline.effective_name(),
-          core::discipline_verdict_names());
-    }
-    // Note: unlike Network, no Instruments hook on the simulators — the
-    // queue-depth histogram would describe per-shard queues and change
-    // with the partition, breaking the any-shard-count bit-identity of
-    // the metrics snapshot.  Every other instrument records quantities
-    // the exactness contract fixes.
-  }
-  if (scenario_.profile) {
-    profilers_.reserve(static_cast<std::size_t>(shards));
-    for (int s = 0; s < shards; ++s) {
-      profilers_.push_back(std::make_unique<obs::Profiler>());
-      exec_.shard(s).set_profiler(profilers_.back().get());
-    }
-    exec_.set_collect_wall_stats(true);
-  }
-
   std::vector<sim::Simulator*> sims;
-  sims.reserve(static_cast<std::size_t>(shards));
-  for (int s = 0; s < shards; ++s) sims.push_back(&exec_.shard(s));
+  for (int s = 0; s < shards; ++s) {
+    shard_observers_.push_back(
+        std::make_unique<ObserverSet>(scenario_, exec_.shard(s)));
+    // No queue-depth instruments on the simulators: the histogram would
+    // describe per-shard queues and change with the partition, breaking
+    // the any-shard-count bit-identity of the metrics snapshot.  Every
+    // other instrument records quantities the exactness contract fixes.
+    exec_.shard(s).set_profiler(shard_observers_.back()->profiler());
+    sims.push_back(&exec_.shard(s));
+  }
+  if (scenario_.profile) exec_.set_collect_wall_stats(true);
   world_ = std::make_unique<mac::ShardedWorld>(scenario_.phy, std::move(sims));
-
   build_stations();
 }
 
 void ParallelNetwork::build_stations() {
-  const int n = scenario_.num_nodes;
-  const bool has_attacker = !scenario_.attack.empty();
-  const int total = n + (has_attacker ? 1 : 0);
-  attacker_index_ = has_attacker ? static_cast<std::size_t>(n)
-                                 : static_cast<std::size_t>(total);
-
-  // Exactly Network::build_stations' draw sequence, from the control
-  // simulator's root RNG — same seed, same substreams, same per-stream
-  // order, so every node gets the position and oscillator it would get on
-  // the single-threaded kernel.
-  sim::Rng placement = control().substream("placement", 0);
-  sim::Rng clocks = control().substream("clocks", 0);
-
-  struct NodeDraw {
-    mac::Position pos;
-    clk::DriftModel drift;
-    double offset;
-  };
-  std::vector<NodeDraw> draws;
-  draws.reserve(static_cast<std::size_t>(total));
+  // Network's draws, from the control simulator's root RNG — same seed,
+  // same substreams — so every node gets the position and oscillator it
+  // would get on the single-threaded kernel.
+  const std::vector<NodeDraw> draws = draw_nodes(scenario_, control());
+  const int total = static_cast<int>(draws.size());
   std::vector<mac::Position> positions;
-  positions.reserve(static_cast<std::size_t>(total));
-  for (int i = 0; i < total; ++i) {
-    const double r =
-        scenario_.phy.placement_radius_m * std::sqrt(placement.uniform());
-    const double theta = placement.uniform(0.0, 2.0 * M_PI);
-    const mac::Position pos{r * std::cos(theta), r * std::sin(theta)};
-    auto drift = clk::DriftModel::uniform(clocks, scenario_.max_drift_ppm);
-    const double offset = clocks.uniform(-scenario_.initial_offset_us,
-                                         scenario_.initial_offset_us);
-    if (has_attacker && static_cast<std::size_t>(i) == attacker_index_) {
-      const double factor = attack::adversary_drift_factor(scenario_.attack);
-      if (!std::isnan(factor)) {
-        drift = clk::DriftModel::from_ppm(factor * scenario_.max_drift_ppm);
-      }
-    }
-    draws.push_back(NodeDraw{pos, drift, offset});
-    positions.push_back(pos);
-  }
+  positions.reserve(draws.size());
+  for (const NodeDraw& d : draws) positions.push_back(d.pos);
 
   world_->partition(positions);
   const int shards = exec_.shard_count();
-
-  const bool is_sstsp = scenario_.protocol == ProtocolKind::kSstsp;
-  directories_.clear();
   for (int s = 0; s < shards; ++s) {
     directories_.push_back(std::make_unique<core::KeyDirectory>());
+    world_->channel(s).set_instruments(
+        shard_observers_[static_cast<std::size_t>(s)]->instruments());
   }
-  if (is_sstsp) {
+  if (scenario_.protocol == ProtocolKind::kSstsp) {
     // A shard verifies only frames its stations can hear, so each node's
     // chain goes into exactly the directories of its announce fan-out set
     // (all shards in the single-hop configuration) — memory stays linear
@@ -177,227 +121,30 @@ void ParallelNetwork::build_stations() {
     }
   }
 
-  if (scenario_.trace_capacity > 0) {
-    for (int s = 0; s < shards; ++s) {
-      traces_.push_back(
-          std::make_unique<trace::EventTrace>(scenario_.trace_capacity));
-    }
-  }
-  if (scenario_.collect_metrics) {
-    for (int s = 0; s < shards; ++s) {
-      world_->channel(s).set_instruments(
-          instruments_[static_cast<std::size_t>(s)].get());
-    }
-  }
-
+  std::vector<proto::Station*> all;
   for (int i = 0; i < total; ++i) {
-    const auto id = static_cast<mac::NodeId>(i);
     const auto shard =
         static_cast<std::size_t>(world_->shard_of(static_cast<std::size_t>(i)));
     const NodeDraw& d = draws[static_cast<std::size_t>(i)];
     auto station = std::make_unique<proto::Station>(
-        exec_.shard(static_cast<int>(shard)), world_->channel(static_cast<int>(shard)),
-        id, clk::HardwareClock(d.drift, d.offset), d.pos);
-
-    const bool is_attacker =
-        has_attacker && static_cast<std::size_t>(i) == attacker_index_;
-    core::KeyDirectory& directory = *directories_[shard];
-    std::unique_ptr<proto::SyncProtocol> proto;
-    if (is_attacker) {
-      std::optional<obs::json::Value> params;
-      if (!scenario_.attack_params_json.empty()) {
-        params = obs::json::parse(scenario_.attack_params_json);
-        if (!params) {
-          throw std::runtime_error("invalid attack params JSON: " +
-                                   scenario_.attack_params_json);
-        }
-      }
-      attack::AdversaryContext ctx{*station,
-                                   directory,
-                                   scenario_.sstsp,
-                                   scenario_.tsf_attack,
-                                   scenario_.sstsp_attack,
-                                   params ? &*params : nullptr};
-      proto = attack::make_adversary(scenario_.attack, ctx);
-      if (proto == nullptr) {
-        throw std::runtime_error("unknown adversary: " + scenario_.attack);
-      }
-    } else {
-      switch (scenario_.protocol) {
-        case ProtocolKind::kTsf:
-          proto = std::make_unique<proto::Tsf>(*station);
-          break;
-        case ProtocolKind::kAtsp:
-          proto = std::make_unique<proto::Atsp>(*station, scenario_.atsp);
-          break;
-        case ProtocolKind::kTatsp:
-          proto = std::make_unique<proto::Tatsp>(*station, scenario_.tatsp);
-          break;
-        case ProtocolKind::kSatsf:
-          proto = std::make_unique<proto::Satsf>(*station, scenario_.satsf);
-          break;
-        case ProtocolKind::kRentelKunz:
-          proto = std::make_unique<proto::RentelKunz>(*station,
-                                                      scenario_.rentel_kunz);
-          break;
-        case ProtocolKind::kSstsp: {
-          core::Sstsp::Options opts;
-          opts.calibrated_boot = true;
-          opts.start_as_reference =
-              scenario_.preestablished_reference && i == 0;
-          proto = std::make_unique<core::Sstsp>(*station, scenario_.sstsp,
-                                                directory, opts);
-          break;
-        }
-      }
-    }
-    station->set_protocol(std::move(proto));
-    if (!traces_.empty()) station->set_trace(traces_[shard].get());
-    if (!instruments_.empty()) {
-      station->set_instruments(instruments_[shard].get());
-    }
-    if (!profilers_.empty()) station->set_profiler(profilers_[shard].get());
+        exec_.shard(static_cast<int>(shard)),
+        world_->channel(static_cast<int>(shard)), static_cast<mac::NodeId>(i),
+        clk::HardwareClock(d.drift, d.offset_us), d.pos);
+    station->set_protocol(
+        make_protocol(scenario_, *station, *directories_[shard]));
+    station->attach(shard_observers_[shard]->attachment());
+    all.push_back(station.get());
     stations_.push_back(std::move(station));
   }
+  harness_.set_stations(std::move(all),
+                        static_cast<std::size_t>(scenario_.num_nodes));
 }
 
 void ParallelNetwork::arm() {
   if (armed_) return;
   armed_ = true;
   for (auto& st : stations_) st->power_on();
-  schedule_environment();
-  schedule_sampling();
-}
-
-void ParallelNetwork::schedule_environment() {
-  // Identical schedule and substream keying to Network (the control
-  // simulator shares the scenario seed, so substream("churn", k) yields
-  // the same leaver picks).
-  if (scenario_.churn) {
-    const ChurnSpec churn = *scenario_.churn;
-    std::uint64_t churn_index = 0;
-    for (double t = churn.period_s; t < scenario_.duration_s;
-         t += churn.period_s) {
-      const std::uint64_t event_index = churn_index++;
-      control().at(
-          sim::SimTime::from_sec_double(t), [this, churn, event_index] {
-            sim::Rng pick = control().substream("churn", event_index);
-            const auto ref = current_reference_index();
-            const auto honest_count =
-                std::min(stations_.size(), attacker_index_);
-            const auto leavers = static_cast<std::size_t>(std::lround(
-                churn.fraction * static_cast<double>(honest_count)));
-            std::size_t left = 0;
-            std::size_t guardrail = 0;
-            while (left < leavers && guardrail++ < honest_count * 20) {
-              const auto idx = static_cast<std::size_t>(
-                  pick.uniform_int(0, honest_count - 1));
-              if (!stations_[idx]->awake()) continue;
-              if (ref && *ref == idx) continue;
-              stations_[idx]->power_off();
-              control().after(
-                  sim::SimTime::from_sec_double(churn.absence_s),
-                  [this, idx] { stations_[idx]->power_on(); });
-              ++left;
-            }
-          });
-    }
-  }
-
-  for (const double t : scenario_.reference_departures_s) {
-    control().at(sim::SimTime::from_sec_double(t), [this] {
-      const auto ref = current_reference_index();
-      if (!ref) return;
-      const std::size_t idx = *ref;
-      stations_[idx]->power_off();
-      control().after(
-          sim::SimTime::from_sec_double(scenario_.departure_absence_s),
-          [this, idx] { stations_[idx]->power_on(); });
-    });
-  }
-
-  // Oscillator stressors: identical substream keying to Network so both
-  // kernels drive the same per-node frequency walk.
-  if (scenario_.clock_stress.enabled()) {
-    const auto honest_count = std::min(stations_.size(), attacker_index_);
-    stressors_.reserve(honest_count);
-    for (std::size_t i = 0; i < honest_count; ++i) {
-      stressors_.emplace_back(scenario_.clock_stress,
-                              control().substream("clock-stress", i));
-    }
-    control().at(
-        sim::SimTime::from_sec_double(scenario_.clock_stress.period_s),
-        [this] { clock_stress_tick(); });
-  }
-}
-
-void ParallelNetwork::clock_stress_tick() {
-  const double dt_s = scenario_.clock_stress.period_s;
-  const auto period = sim::SimTime::from_sec_double(dt_s);
-  const double t_s = control().now().to_sec();
-  for (std::size_t i = 0; i < stressors_.size(); ++i) {
-    const double delta = stressors_[i].step_delta_ppm(t_s, dt_s);
-    if (delta != 0.0) stations_[i]->inject_clock_fault(0.0, delta);
-  }
-  if (control().now() + period <=
-      sim::SimTime::from_sec_double(scenario_.duration_s)) {
-    control().after(period, [this] { clock_stress_tick(); });
-  }
-}
-
-void ParallelNetwork::schedule_sampling() {
-  control().at(sim::SimTime::from_sec_double(scenario_.sample_period_s),
-               [this] { sampling_tick(); });
-}
-
-void ParallelNetwork::sampling_tick() {
-  sample_clock_spread();
-  const auto period = sim::SimTime::from_sec_double(scenario_.sample_period_s);
-  if (control().now() + period <=
-      sim::SimTime::from_sec_double(scenario_.duration_s)) {
-    control().after(period, [this] { sampling_tick(); });
-  }
-}
-
-void ParallelNetwork::sample_clock_spread() {
-  sample_values_.clear();
-  // The executor advanced every shard clock to this control instant, so a
-  // protocol's network_time_us reads a consistent now() on its own shard.
-  const sim::SimTime now = control().now();
-  for (std::size_t i = 0; i < stations_.size(); ++i) {
-    if (i == attacker_index_) continue;  // honest clocks only
-    const proto::Station& st = *stations_[i];
-    if (!st.awake() || !st.protocol().is_synchronized()) continue;
-    sample_values_.push_back(st.protocol().network_time_us(now));
-  }
-  if (sample_values_.empty()) return;
-  double lo = sample_values_.front();
-  double hi = lo;
-  double sum = 0.0;
-  for (const double v : sample_values_) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-    sum += v;
-  }
-  const double diff = hi - lo;
-  max_diff_.push(now.to_sec(), diff);
-  if (control_instruments_ != nullptr) {
-    control_instruments_->on_max_diff_sample(diff);
-    const double mean = sum / static_cast<double>(sample_values_.size());
-    for (const double v : sample_values_) {
-      control_instruments_->on_node_error_sample(std::fabs(v - mean));
-    }
-  }
-}
-
-std::optional<std::size_t> ParallelNetwork::current_reference_index() const {
-  for (std::size_t i = 0; i < stations_.size(); ++i) {
-    if (i == attacker_index_) continue;
-    if (stations_[i]->awake() && stations_[i]->protocol().is_reference()) {
-      return i;
-    }
-  }
-  return std::nullopt;
+  harness_.arm();
 }
 
 void ParallelNetwork::run() {
@@ -409,8 +156,7 @@ void ParallelNetwork::run() {
         // Attribute barrier settlement (interference + delivery fan-out)
         // to the channel-delivery phase, like Channel::finish_transmission.
         obs::Span span(
-            profilers_.empty() ? nullptr
-                               : profilers_[static_cast<std::size_t>(s)].get(),
+            shard_observers_[static_cast<std::size_t>(s)]->profiler(),
             obs::Phase::kChannelDelivery);
         world_->settle(s, end);
       },
@@ -419,7 +165,7 @@ void ParallelNetwork::run() {
 }
 
 void ParallelNetwork::publish_shard_metrics() {
-  obs::Registry& r = control_registry_;
+  obs::Registry& r = control_observers_.registry();
   r.gauge("shard.count").set(static_cast<double>(exec_.shard_count()));
   r.counter("shard.windows").inc(exec_.windows());
   r.counter("shard.announcements").inc(world_->announcements_total());
@@ -448,46 +194,19 @@ void ParallelNetwork::publish_shard_metrics() {
   }
 }
 
-proto::ProtocolStats ParallelNetwork::honest_stats() const {
-  proto::ProtocolStats agg;
-  for (std::size_t i = 0; i < stations_.size(); ++i) {
-    if (i == attacker_index_) continue;
-    const auto& s = stations_[i]->protocol().stats();
-    agg.beacons_sent += s.beacons_sent;
-    agg.beacons_received += s.beacons_received;
-    agg.adoptions += s.adoptions;
-    agg.adjustments += s.adjustments;
-    agg.rejected_interval += s.rejected_interval;
-    agg.rejected_key += s.rejected_key;
-    agg.rejected_mac += s.rejected_mac;
-    agg.rejected_guard += s.rejected_guard;
-    agg.elections_won += s.elections_won;
-    agg.demotions += s.demotions;
-    agg.coarse_steps += s.coarse_steps;
-    agg.solver_rejections += s.solver_rejections;
-    for (std::size_t v = 0; v < agg.discipline_verdicts.size(); ++v) {
-      agg.discipline_verdicts[v] += s.discipline_verdicts[v];
-    }
-  }
-  return agg;
-}
-
-const proto::ProtocolStats* ParallelNetwork::attacker_stats() const {
-  if (attacker_index_ >= stations_.size()) return nullptr;
-  return &stations_[attacker_index_]->protocol().stats();
-}
-
 obs::RegistrySnapshot ParallelNetwork::metrics_snapshot() const {
   obs::Registry merged;
-  merged.merge_from(control_registry_);
-  for (const auto& r : registries_) merged.merge_from(*r);
+  merged.merge_from(control_observers_.registry());
+  for (const auto& o : shard_observers_) merged.merge_from(o->registry());
   return merged.snapshot();
 }
 
 obs::ProfileSnapshot ParallelNetwork::profile_snapshot(
     double wall_seconds) const {
   obs::ProfileSnapshot snap;
-  for (const auto& p : profilers_) {
+  for (const auto& o : shard_observers_) {
+    const obs::Profiler* p = o->profiler();
+    if (p == nullptr) continue;
     for (std::size_t ph = 0; ph < obs::kPhaseCount; ++ph) {
       const obs::PhaseStats& st = p->stats(static_cast<obs::Phase>(ph));
       snap.phases[ph].exclusive_ns += st.exclusive_ns;
@@ -500,10 +219,18 @@ obs::ProfileSnapshot ParallelNetwork::profile_snapshot(
   return snap;
 }
 
+std::vector<trace::EventTrace*> ParallelNetwork::shard_traces() const {
+  std::vector<trace::EventTrace*> traces;
+  for (const auto& o : shard_observers_) {
+    if (o->trace() != nullptr) traces.push_back(o->trace());
+  }
+  return traces;
+}
+
 std::unique_ptr<trace::EventTrace> ParallelNetwork::merged_trace() const {
-  if (traces_.empty()) return nullptr;
+  if (scenario_.trace_capacity == 0) return nullptr;
   std::vector<trace::TraceEvent> all;
-  for (const auto& t : traces_) {
+  for (const trace::EventTrace* t : shard_traces()) {
     const auto events =
         t->select([](const trace::TraceEvent&) { return true; });
     all.insert(all.end(), events.begin(), events.end());

@@ -4,32 +4,30 @@
 // (one simulator per shard + one control simulator), a mac::ShardedWorld
 // partitioning the deployment, and the stations distributed across shards.
 // The run-global timeline — churn, reference departures, clock-spread
-// sampling — executes on the control simulator between windows, serialized
-// against every shard, replicating Network's schedule and RNG substream
-// keying draw for draw; with the kernel's exactness contract (DESIGN.md
-// §12) a run is bit-identical for any --threads/--shards combination.
+// sampling — runs through the same run::Harness as Network, on the control
+// simulator between windows, serialized against every shard; with the
+// kernel's exactness contract (DESIGN.md §12) a run is bit-identical for
+// any --threads/--shards combination.
 //
-// Deliberately narrower than Network: fault plans, invariant monitoring,
-// telemetry streaming, flight recording and the phase sampler are not
-// wired into the sharded kernel yet, and the constructor rejects scenarios
-// requesting them (std::runtime_error) rather than silently dropping them.
+// Deliberately narrower than Network: each shard carries an ObserverSet
+// with the trace, instruments and profiler only.  Fault plans, invariant
+// monitoring, telemetry streaming, flight recording and the phase sampler
+// are not wired into the sharded kernel yet, and the constructor rejects
+// scenarios requesting them (std::runtime_error) rather than silently
+// dropping them.
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "clock/drift_model.h"
 #include "core/key_directory.h"
 #include "mac/sharded_channel.h"
 #include "metrics/series.h"
-#include "obs/instruments.h"
-#include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "protocols/station.h"
 #include "runner/experiment.h"
+#include "runner/harness.h"
 #include "runner/scenario.h"
 #include "sim/shard_exec.h"
-#include "trace/event_trace.h"
 
 namespace sstsp::run {
 
@@ -50,13 +48,17 @@ class ParallelNetwork {
   [[nodiscard]] int shard_count() const { return exec_.shard_count(); }
 
   [[nodiscard]] const metrics::Series& max_diff_series() const {
-    return max_diff_;
+    return harness_.max_diff();
   }
   [[nodiscard]] mac::ChannelStats channel_stats() const {
     return world_->stats();
   }
-  [[nodiscard]] proto::ProtocolStats honest_stats() const;
-  [[nodiscard]] const proto::ProtocolStats* attacker_stats() const;
+  [[nodiscard]] proto::ProtocolStats honest_stats() const {
+    return harness_.honest_stats();
+  }
+  [[nodiscard]] const proto::ProtocolStats* attacker_stats() const {
+    return harness_.attacker_stats();
+  }
   [[nodiscard]] std::uint64_t events_processed() const {
     return exec_.total_events();
   }
@@ -73,10 +75,7 @@ class ParallelNetwork {
   /// Per-shard protocol-event traces; empty unless trace_capacity > 0.
   /// Events of one shard are in record order; use trace::EventTrace::select
   /// and sort across shards for a global view.
-  [[nodiscard]] const std::vector<std::unique_ptr<trace::EventTrace>>&
-  shard_traces() const {
-    return traces_;
-  }
+  [[nodiscard]] std::vector<trace::EventTrace*> shard_traces() const;
 
   /// Merged per-shard profiler phases; meaningful only when
   /// Scenario::profile is set.
@@ -94,34 +93,21 @@ class ParallelNetwork {
  private:
   void build_stations();
   void arm();
-  void schedule_environment();
-  void clock_stress_tick();
-  void schedule_sampling();
-  void sampling_tick();
-  void sample_clock_spread();
-  [[nodiscard]] std::optional<std::size_t> current_reference_index() const;
   [[nodiscard]] sim::Simulator& control() { return exec_.control(); }
   void publish_shard_metrics();
 
   Scenario scenario_;
   sim::ShardExecutor exec_;
+  /// The sampling side's instruments and the kernel's own gauges.
+  ObserverSet control_observers_;
+  Harness harness_;
   std::unique_ptr<mac::ShardedWorld> world_;
   /// One key directory per shard (verification caches are per-receiver-
   /// shard); each holds the chains of every node audible to that shard.
   std::vector<std::unique_ptr<core::KeyDirectory>> directories_;
+  /// Trace, instruments and profiler of each shard's stations.
+  std::vector<std::unique_ptr<ObserverSet>> shard_observers_;
   std::vector<std::unique_ptr<proto::Station>> stations_;  // global id order
-  std::vector<std::unique_ptr<trace::EventTrace>> traces_;
-  /// registries_[0..S-1] per shard; control_registry_ for sampling-side
-  /// instruments and the kernel's own gauges.
-  std::vector<std::unique_ptr<obs::Registry>> registries_;
-  obs::Registry control_registry_;
-  std::vector<std::unique_ptr<obs::Instruments>> instruments_;
-  std::unique_ptr<obs::Instruments> control_instruments_;
-  std::vector<std::unique_ptr<obs::Profiler>> profilers_;
-  std::size_t attacker_index_;  // == stations_.size() when no attacker
-  metrics::Series max_diff_;
-  std::vector<clk::DriftStressor> stressors_;  // one per honest node
-  std::vector<double> sample_values_;  // reused per sampling tick
   bool armed_{false};
 };
 

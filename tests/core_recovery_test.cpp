@@ -26,6 +26,7 @@ struct ReplayedCell {
   core::KeyDirectory directory;
   core::SstspConfig cfg;
   trace::EventTrace trace{1 << 16};
+  proto::Observers observers{.trace = &trace};
   std::vector<std::unique_ptr<proto::Station>> stations;
 
   explicit ReplayedCell(int blacklist_threshold,
@@ -61,7 +62,7 @@ struct ReplayedCell {
         sim, *channel, id,
         clk::HardwareClock(clk::DriftModel::from_ppm(ppm), offset_us),
         mac::Position{static_cast<double>(id) * 2.0, 0.0}));
-    stations.back()->set_trace(&trace);
+    stations.back()->attach(&observers);
     return *stations.back();
   }
 
@@ -148,6 +149,7 @@ struct ForgedCell {
   core::KeyDirectory directory;
   core::SstspConfig cfg;
   trace::EventTrace trace{1 << 16};
+  proto::Observers observers{.trace = &trace};
   std::vector<std::unique_ptr<proto::Station>> stations;
 
   explicit ForgedCell(int blacklist_threshold, double penalty_s = 30.0) {
@@ -178,7 +180,7 @@ struct ForgedCell {
         sim, *channel, id,
         clk::HardwareClock(clk::DriftModel::from_ppm(ppm), offset_us),
         mac::Position{static_cast<double>(id) * 2.0, 0.0}));
-    stations.back()->set_trace(&trace);
+    stations.back()->attach(&observers);
     return *stations.back();
   }
 

@@ -193,8 +193,8 @@ TEST(FlightRecorder, SimAuditRecordTriggersDumpWithTriggerAttached) {
 
   run::Network net(s);
   net.run();
-  ASSERT_NE(net.flight_recorder(), nullptr);
-  EXPECT_GT(net.flight_recorder()->dumps_written(), 0u);
+  ASSERT_NE(net.observers().flight(), nullptr);
+  EXPECT_GT(net.observers().flight()->dumps_written(), 0u);
   expect_audit_triggered_dump(path);
   std::remove(path.c_str());
 }
@@ -215,8 +215,8 @@ TEST(FlightRecorder, SwarmAuditRecordTriggersDumpWithTriggerAttached) {
   auto swarm = net::Swarm::create(config, &error);
   ASSERT_NE(swarm, nullptr) << error;
   swarm->run();
-  ASSERT_NE(swarm->flight_recorder(), nullptr);
-  EXPECT_GT(swarm->flight_recorder()->dumps_written(), 0u);
+  ASSERT_NE(swarm->observers().flight(), nullptr);
+  EXPECT_GT(swarm->observers().flight()->dumps_written(), 0u);
   expect_audit_triggered_dump(path);
   std::remove(path.c_str());
 }

@@ -278,6 +278,7 @@ struct MonitoredSstspNet {
   core::KeyDirectory directory;
   core::SstspConfig cfg;
   InvariantMonitor monitor;
+  proto::Observers observers{.monitor = &monitor};
   std::vector<std::unique_ptr<proto::Station>> stations;
 
   MonitoredSstspNet() : monitor(InvariantConfig{}) {
@@ -292,7 +293,7 @@ struct MonitoredSstspNet {
         sim, *channel, id,
         clk::HardwareClock(clk::DriftModel::from_ppm(ppm), offset_us),
         mac::Position{static_cast<double>(id), 0.0});
-    st->set_monitor(&monitor);
+    st->attach(&observers);
     stations.push_back(std::move(st));
     return *stations.back();
   }

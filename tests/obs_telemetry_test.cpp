@@ -310,8 +310,8 @@ TEST(TelemetryNetwork, ClusterSamplesCarryTheExpectedSchema) {
   run::Scenario s = telemetry_scenario(path);
   run::Network net(s);
   net.run();
-  ASSERT_NE(net.telemetry_sampler(), nullptr);
-  EXPECT_GT(net.telemetry_sampler()->emitted(), 0u);
+  ASSERT_NE(net.observers().telemetry(), nullptr);
+  EXPECT_GT(net.observers().telemetry()->emitted(), 0u);
   const run::RunResult result = run::collect_result(net, 0.0);
   EXPECT_GT(result.honest.beacons_sent, 0u);
 

@@ -37,15 +37,9 @@
 #include "net/reactor.h"
 #include "net/telemetry_link.h"
 #include "net/udp.h"
-#include "obs/flight_recorder.h"
-#include "obs/instruments.h"
-#include "obs/invariants.h"
-#include "obs/profiler.h"
-#include "obs/sampler.h"
-#include "obs/telemetry.h"
 #include "runner/config_file.h"
+#include "runner/harness.h"
 #include "runner/run_output.h"
-#include "trace/lifecycle.h"
 
 namespace {
 
@@ -498,6 +492,27 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>((start_s + cli->duration_s) * 10.0) + 200;
   }
 
+  run::Scenario scenario;
+  scenario.protocol = run::ProtocolKind::kSstsp;
+  scenario.num_nodes = cli->node.total_nodes;
+  scenario.duration_s = cli->duration_s;
+  scenario.seed = cli->node.seed;
+  scenario.sstsp = cli->node.sstsp;
+  scenario.phy = cli->node.phy;
+  scenario.max_drift_ppm = cli->node.max_drift_ppm;
+  scenario.initial_offset_us = cli->node.initial_offset_us;
+  scenario.faults = cli->faults;
+  scenario.trace_capacity = cli->trace_capacity;
+  scenario.collect_metrics = cli->collect_metrics;
+  scenario.profile = cli->profile;
+  scenario.monitor = cli->monitor;
+  scenario.telemetry_out = cli->telemetry_out;
+  scenario.telemetry_interval_s = cli->telemetry_interval_s;
+  scenario.flight_recorder_out = cli->flight_recorder_out;
+  scenario.flight_capacity = cli->flight_capacity;
+  scenario.phase_sampler = cli->phase_sampler;
+  scenario.phase_sampler_interval_s = cli->phase_sampler_interval_s;
+
   sim::Simulator sim(cli->node.seed);
   net::Reactor reactor(sim);
   auto transport = net::UdpTransport::open(reactor, cli->udp, &error);
@@ -506,25 +521,34 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Observability: the run harness's observer set, scoped to one node
+  // (DESIGN.md §10-11).  Its telemetry sink takes this node's samples.
+  std::unique_ptr<run::ObserverSet> observers;
+  try {
+    observers = std::make_unique<run::ObserverSet>(scenario, sim);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << '\n';
+    return 1;
+  }
+  observers->hook(sim);
+
   // Fault plan: decorate the transport so packet directives apply to this
   // node's received datagrams; clock faults fire against the emulated
   // oscillator on this node's timeline.  Node crash/pause directives need
   // an orchestrator that owns every process — sstsp_swarm — and are
   // ignored here.
-  std::unique_ptr<fault::FaultInjector> injector;
   std::unique_ptr<fault::FaultyTransport> faulty;
   net::Transport* endpoint = transport.get();
-  if (!cli->faults.empty()) {
-    injector = std::make_unique<fault::FaultInjector>(
-        cli->faults, sim.substream("faults", cli->faults.seed));
-    faulty = std::make_unique<fault::FaultyTransport>(
-        *transport, sim, *injector, cli->node.id);
+  if (fault::FaultInjector* injector = observers->injector()) {
+    faulty = std::make_unique<fault::FaultyTransport>(*transport, sim,
+                                                      *injector, cli->node.id);
     endpoint = faulty.get();
   }
 
   net::NodeRuntime node(sim, *endpoint, cli->node);
   node.set_wall_clock([&reactor] { return reactor.wall_sim_now(); });
-  if (injector) {
+  node.attach(observers->attachment());
+  if (observers->injector() != nullptr) {
     fault::FaultHooks hooks;
     hooks.clock_fault = [&node](mac::NodeId id, double step_us,
                                 double drift_delta_ppm) {
@@ -532,85 +556,10 @@ int main(int argc, char** argv) {
         node.station().inject_clock_fault(step_us, drift_delta_ppm);
       }
     };
-    fault::schedule_fault_events(sim, cli->faults, injector.get(),
+    fault::schedule_fault_events(sim, cli->faults, observers->injector(),
                                  std::move(hooks));
   }
-
-  // Observability: same sharing model as run::Network, scoped to one node.
-  obs::Registry registry;
-  std::unique_ptr<obs::Instruments> instruments;
-  std::unique_ptr<obs::Profiler> profiler;
-  std::unique_ptr<obs::InvariantMonitor> monitor;
-  std::unique_ptr<trace::BeaconLifecycle> lifecycle;
-  std::unique_ptr<trace::EventTrace> event_trace;
-  if (cli->collect_metrics) {
-    instruments = std::make_unique<obs::Instruments>(registry);
-    sim.set_instruments(instruments.get());
-  }
-  if (cli->profile) {
-    profiler = std::make_unique<obs::Profiler>();
-    sim.set_profiler(profiler.get());
-  }
-  std::unique_ptr<obs::PhaseSampler> phase_sampler;
-  if (cli->phase_sampler) {
-    obs::PhaseSampler::Options popts;
-    if (cli->phase_sampler_interval_s > 0.0) {
-      popts.interval_s = cli->phase_sampler_interval_s;
-    }
-    phase_sampler = std::make_unique<obs::PhaseSampler>(popts, registry);
-    phase_sampler->attach_profiler(profiler.get());
-    sim.set_phase_sampler(phase_sampler.get());
-  }
-  if (cli->monitor) {
-    obs::InvariantConfig cfg;
-    cfg.sstsp_checks = true;
-    cfg.bp_us = cli->node.phy.beacon_period.to_us();
-    cfg.m = cli->node.sstsp.m;
-    cfg.l = cli->node.sstsp.l;
-    cfg.t0_us = cli->node.sstsp.t0_us;
-    cfg.interval_slack_us = cli->node.sstsp.interval_slack_us;
-    cfg.k_min = cli->node.sstsp.k_min;
-    cfg.k_max = cli->node.sstsp.k_max;
-    monitor = std::make_unique<obs::InvariantMonitor>(cfg);
-    lifecycle = std::make_unique<trace::BeaconLifecycle>(registry);
-  }
-  if (cli->trace_capacity > 0) {
-    event_trace = std::make_unique<trace::EventTrace>(cli->trace_capacity);
-  }
-  node.set_trace(event_trace.get());
-  node.set_instruments(instruments.get());
-  node.set_profiler(profiler.get());
-  node.set_monitor(monitor.get());
-  node.set_lifecycle(lifecycle.get());
-
-  // Telemetry + flight recorder (DESIGN.md §10).
-  std::unique_ptr<obs::JsonlSink> flight_sink;
-  std::unique_ptr<obs::FlightRecorder> flight;
-  if (!cli->flight_recorder_out.empty()) {
-    flight_sink = std::make_unique<obs::JsonlSink>();
-    if (!flight_sink->open(cli->flight_recorder_out, &error)) {
-      std::cerr << "error: " << error << '\n';
-      return 1;
-    }
-    obs::FlightRecorder::Config fc;
-    fc.event_capacity = cli->flight_capacity;
-    flight = std::make_unique<obs::FlightRecorder>(fc, flight_sink.get());
-    node.set_flight(flight.get());
-    if (monitor) {
-      monitor->set_on_new_record(
-          [&flight](sim::SimTime when, const obs::AuditRecord& rec) {
-            flight->on_audit_record(when.to_sec(), rec);
-          });
-    }
-  }
-  std::unique_ptr<obs::JsonlSink> telemetry_sink;
-  if (!cli->telemetry_out.empty()) {
-    telemetry_sink = std::make_unique<obs::JsonlSink>();
-    if (!telemetry_sink->open(cli->telemetry_out, &error)) {
-      std::cerr << "error: " << error << '\n';
-      return 1;
-    }
-  }
+  obs::FlightRecorder* flight = observers->flight();
   std::unique_ptr<net::TelemetryExporter> telemetry_exporter;
   if (!cli->telemetry_udp_host.empty()) {
     telemetry_exporter = net::TelemetryExporter::open(
@@ -622,17 +571,17 @@ int main(int argc, char** argv) {
   }
 
   run::RunOutput output(cli->output);
-  if (!output.begin(event_trace.get(), &error)) {
+  if (!output.begin(observers->trace(), &error)) {
     std::cerr << "error: " << error << '\n';
     return 1;
   }
-  output.attach_profiler(profiler.get());
+  output.attach_profiler(observers->profiler());
 
   std::unique_ptr<net::PromExporter> prom;
   if (cli->prom_port >= 0) {
     prom = std::make_unique<net::PromExporter>();
     const auto body = [&] {
-      if (phase_sampler) phase_sampler->publish_live();
+      if (auto* sampler = observers->phase_sampler()) sampler->publish_live();
       std::vector<std::pair<std::string, double>> extra;
       extra.emplace_back("node_id", static_cast<double>(cli->node.id));
       extra.emplace_back("node_sim_time_seconds", sim.now().to_sec());
@@ -640,7 +589,7 @@ int main(int argc, char** argv) {
                          static_cast<double>(reactor.wait_ns()) * 1e-9);
       extra.emplace_back("reactor_work_seconds",
                          static_cast<double>(reactor.work_ns()) * 1e-9);
-      return net::prometheus_body(registry.snapshot(), extra);
+      return net::prometheus_body(observers->registry().snapshot(), extra);
     };
     if (!prom->open(reactor, static_cast<std::uint16_t>(cli->prom_port), body,
                     &error)) {
@@ -677,7 +626,7 @@ int main(int argc, char** argv) {
       start_sim + sim::SimTime::from_sec_double(cli->duration_s);
   sim.at(start_sim, [&] {
     node.start();
-    if (telemetry_sink || telemetry_exporter || flight) {
+    if (!cli->telemetry_out.empty() || telemetry_exporter || flight) {
       // Scheduled from the start instant so the first tick lands one
       // interval into the run, not at a stale pre-epoch time.
       obs::TelemetrySampler::Options topts;
@@ -686,23 +635,22 @@ int main(int argc, char** argv) {
       topts.process_stats = true;  // wall-paced: RSS + wall clock apply
       node.start_telemetry(
           topts, end_sim, [&](const obs::TelemetrySample& sample) {
-            if (telemetry_sink) {
-              telemetry_sink->write_line(obs::telemetry_to_jsonl(sample));
-            }
+            observers->write_telemetry(sample);
             if (telemetry_exporter) telemetry_exporter->publish(sample);
             // SIGUSR1 poll, piggybacked on the telemetry tick (the only
             // periodic event this tool owns).
-            if (flight && g_dump_requested != 0) {
-              g_dump_requested = 0;
-              flight->dump(sim.now().to_sec(), "dump-request", nullptr);
-            }
+            observers->poll_dump_request(sim.now().to_sec());
           });
     }
   });
-  if (flight) std::signal(SIGUSR1, on_sigusr1);
+  if (flight) {
+    std::signal(SIGUSR1, on_sigusr1);
+    observers->set_dump_request_flag(&g_dump_requested);
+  }
   reactor.anchor(start_sim);
 
   const auto wall_start = std::chrono::steady_clock::now();
+  obs::PhaseSampler* phase_sampler = observers->phase_sampler();
   if (phase_sampler) {
     std::string live_error;
     if (!phase_sampler->start_live(&live_error)) {
@@ -723,17 +671,14 @@ int main(int argc, char** argv) {
   result.channel = node.channel().stats();
   result.honest = node.station().protocol().stats();
   result.net = node.net_stats();
+  obs::Registry& registry = observers->registry();
   registry.gauge("reactor.wait_seconds")
       .set(static_cast<double>(reactor.wait_ns()) * 1e-9);
   registry.gauge("reactor.work_seconds")
       .set(static_cast<double>(reactor.work_ns()) * 1e-9);
-  result.metrics = registry.snapshot();
   result.events_processed = sim.events_processed();
   result.wall_seconds = wall_seconds;
-  if (profiler) {
-    result.profile = profiler->snapshot(result.events_processed, wall_seconds);
-  }
-  if (monitor) result.audit = monitor->report();
+  observers->report(result);
   // No pairwise series from a single vantage point: sync_latency_s and the
   // steady stats stay null in the report.
 
@@ -746,22 +691,6 @@ int main(int argc, char** argv) {
             << metrics::fmt(protocol.network_time_us(sim.now()), 1)
             << " us\n";
 
-  run::Scenario scenario;
-  scenario.protocol = run::ProtocolKind::kSstsp;
-  scenario.num_nodes = cli->node.total_nodes;
-  scenario.duration_s = cli->duration_s;
-  scenario.seed = cli->node.seed;
-  scenario.sstsp = cli->node.sstsp;
-  scenario.phy = cli->node.phy;
-  scenario.max_drift_ppm = cli->node.max_drift_ppm;
-  scenario.initial_offset_us = cli->node.initial_offset_us;
-  scenario.trace_capacity = cli->trace_capacity;
-  scenario.collect_metrics = cli->collect_metrics;
-  scenario.profile = cli->profile;
-  scenario.monitor = cli->monitor;
-  scenario.phase_sampler = cli->phase_sampler;
-  scenario.phase_sampler_interval_s = cli->phase_sampler_interval_s;
-
   return output.finish(std::cout, std::cerr, scenario, result,
-                       event_trace.get());
+                       observers->trace());
 }
