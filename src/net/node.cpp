@@ -14,6 +14,18 @@ namespace {
 }
 }  // namespace
 
+NodeConfig node_config(const run::Scenario& scenario, mac::NodeId id) {
+  NodeConfig nc;
+  nc.id = id;
+  nc.total_nodes = scenario.num_nodes;
+  nc.seed = scenario.seed;
+  nc.sstsp = scenario.sstsp;
+  nc.phy = scenario.phy;
+  nc.max_drift_ppm = scenario.max_drift_ppm;
+  nc.initial_offset_us = scenario.initial_offset_us;
+  return nc;
+}
+
 mac::PhyParams NodeRuntime::live_phy(const mac::PhyParams& phy) {
   mac::PhyParams live = phy;
   // The private channel only carries the node's own frames to the wire tap:

@@ -37,6 +37,7 @@
 #include "net/codec.h"
 #include "net/transport.h"
 #include "protocols/station.h"
+#include "runner/scenario.h"
 #include "sim/simulator.h"
 
 namespace sstsp::net {
@@ -53,7 +54,7 @@ inline constexpr double kUdpWireLatencyUs = 10.0;
 /// slip one guard-accepted noisy measurement into a node's (k, b) solve,
 /// transiently moving its adjusted clock by more than the sim-calibrated
 /// 50 us bound tolerates; genuine divergence still grows without limit
-/// and trips this one.  See SwarmConfig::monitor_diverge_us.
+/// and trips this one.  See SwarmLive::diverge_threshold_us.
 inline constexpr double kUdpDivergeThresholdUs = 150.0;
 
 /// Wall-paced runs drop a frame instead of sending it when its dispatch
@@ -113,6 +114,12 @@ struct NodeConfig {
   /// Boot directly in the reference role (convergence experiments).
   bool start_as_reference = false;
 };
+
+/// Node `id` of the deployment `scenario` describes: its size, seed,
+/// protocol parameters and emulated-clock bounds.  The wire latency and
+/// the reference role are the caller's.
+[[nodiscard]] NodeConfig node_config(const run::Scenario& scenario,
+                                     mac::NodeId id);
 
 class NodeRuntime {
  public:

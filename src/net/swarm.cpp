@@ -8,70 +8,36 @@
 
 namespace sstsp::net {
 
-const char* transport_kind_name(TransportKind kind) {
-  switch (kind) {
-    case TransportKind::kLoopback:
-      return "loopback";
-    case TransportKind::kUdp:
-      return "udp";
-  }
-  return "?";
-}
-
-namespace {
-
-run::Scenario scenario_of(const SwarmConfig& c) {
+run::Scenario live_scenario() {
   run::Scenario s;
-  s.protocol = run::ProtocolKind::kSstsp;
-  s.num_nodes = c.nodes;
-  s.duration_s = c.duration_s;
-  s.seed = c.seed;
-  s.phy = c.phy;
-  s.sstsp = c.sstsp;
-  s.initial_offset_us = c.initial_offset_us;
-  s.max_drift_ppm = c.max_drift_ppm;
-  s.preestablished_reference = c.preestablished_reference;
-  s.faults = c.faults;
-  s.sample_period_s = c.sample_period_s;
-  s.trace_capacity = c.trace_capacity;
-  s.collect_metrics = c.collect_metrics;
-  s.profile = c.profile;
-  s.monitor = c.monitor;
-  s.telemetry_out = c.telemetry_out;
-  s.telemetry_interval_s = c.telemetry_interval_s;
-  s.telemetry_per_node = c.telemetry_per_node;
-  s.flight_recorder_out = c.flight_recorder_out;
-  s.flight_capacity = c.flight_capacity;
-  s.phase_sampler = c.phase_sampler;
-  s.phase_sampler_interval_s = c.phase_sampler_interval_s;
+  s.num_nodes = 5;
+  s.duration_s = 10.0;
+  s.sstsp = live_sstsp_defaults();
   return s;
 }
 
-}  // namespace
-
 Swarm::Swarm(const SwarmConfig& config)
     : config_(config),
-      scenario_(scenario_of(config)),
-      sim_(config.seed),
-      observers_(scenario_, sim_, [this] {
+      sim_(config.scenario.seed),
+      observers_(config_.scenario, sim_, [this] {
         run::ObserverHost host;
         host.telemetry_source = "swarm";
         // Process stats (RSS, wall clock) only on the wall-paced
         // transport; a virtual-time loopback run stays bit-reproducible.
-        host.process_stats = config_.transport == TransportKind::kUdp;
+        host.process_stats = config_.live.transport == TransportKind::kUdp;
         host.diverge_threshold_us =
-            config_.monitor_diverge_us < 0.0 &&
-                    config_.transport == TransportKind::kUdp
+            config_.live.diverge_threshold_us < 0.0 &&
+                    config_.live.transport == TransportKind::kUdp
                 ? kUdpDivergeThresholdUs
-                : config_.monitor_diverge_us;
-        if (config_.watch) {
+                : config_.live.diverge_threshold_us;
+        if (config_.live.watch) {
           host.on_sample = [this](const obs::TelemetrySample& sample) {
             print_watch_line(sample);
           };
         }
         return host;
       }()),
-      harness_(scenario_, sim_, observers_) {
+      harness_(config_.scenario, sim_, observers_) {
   observers_.hook(sim_);
 }
 
@@ -81,13 +47,14 @@ std::unique_ptr<Swarm> Swarm::create(const SwarmConfig& config,
     if (error != nullptr) *error = std::move(message);
     return nullptr;
   };
-  if (config.nodes < 1) return fail("swarm needs at least one node");
-  if (config.nodes > 250) {
+  const run::Scenario& s = config.scenario;
+  if (s.num_nodes < 1) return fail("swarm needs at least one node");
+  if (s.num_nodes > 250) {
     // One UDP socket and one private channel per node; the cap is a sanity
     // bound well past the paper's 100-node deployments.
     return fail("swarm is capped at 250 nodes");
   }
-  if (config.duration_s <= 0.0) return fail("duration must be positive");
+  if (s.duration_s <= 0.0) return fail("duration must be positive");
 
   std::unique_ptr<Swarm> swarm;
   try {
@@ -100,18 +67,19 @@ std::unique_ptr<Swarm> Swarm::create(const SwarmConfig& config,
 }
 
 bool Swarm::init(std::string* error) {
+  const int n = config_.scenario.num_nodes;
   std::vector<Transport*> endpoints;
-  endpoints.reserve(static_cast<std::size_t>(config_.nodes));
+  endpoints.reserve(static_cast<std::size_t>(n));
 
-  if (config_.transport == TransportKind::kUdp) {
+  if (config_.live.transport == TransportKind::kUdp) {
     reactor_ = std::make_unique<Reactor>(sim_);
-    for (int i = 0; i < config_.nodes; ++i) {
+    for (int i = 0; i < n; ++i) {
       UdpConfig uc;
-      uc.bind_address = config_.bind_address;
+      uc.bind_address = config_.live.bind_address;
       uc.bind_port =
-          config_.base_port == 0
+          config_.live.base_port == 0
               ? std::uint16_t{0}
-              : static_cast<std::uint16_t>(config_.base_port + i);
+              : static_cast<std::uint16_t>(config_.live.base_port + i);
       std::string udp_error;
       auto transport = UdpTransport::open(*reactor_, uc, &udp_error);
       if (!transport) {
@@ -124,13 +92,13 @@ bool Swarm::init(std::string* error) {
     }
     // Every socket is bound (ephemeral ports resolved) — wire the full
     // unicast mesh.
-    for (int i = 0; i < config_.nodes; ++i) {
+    for (int i = 0; i < n; ++i) {
       std::vector<UdpEndpoint> peers;
-      peers.reserve(static_cast<std::size_t>(config_.nodes - 1));
-      for (int j = 0; j < config_.nodes; ++j) {
+      peers.reserve(static_cast<std::size_t>(n - 1));
+      for (int j = 0; j < n; ++j) {
         if (j == i) continue;
         peers.push_back(UdpEndpoint{
-            config_.bind_address,
+            config_.live.bind_address,
             udp_[static_cast<std::size_t>(j)]->local_port()});
       }
       std::string peer_error;
@@ -142,8 +110,8 @@ bool Swarm::init(std::string* error) {
       endpoints.push_back(udp_[static_cast<std::size_t>(i)].get());
     }
   } else {
-    hub_ = std::make_unique<LoopbackHub>(sim_, config_.loopback);
-    for (int i = 0; i < config_.nodes; ++i) {
+    hub_ = std::make_unique<LoopbackHub>(sim_, config_.live.loopback);
+    for (int i = 0; i < n; ++i) {
       endpoints.push_back(&hub_->create_endpoint());
     }
   }
@@ -152,7 +120,7 @@ bool Swarm::init(std::string* error) {
     // Decorate every endpoint: the node installs its rx handler on the
     // decorator, which consults the injector per arriving datagram —
     // identical verdict semantics to the simulated channel's hook.
-    for (int i = 0; i < config_.nodes; ++i) {
+    for (int i = 0; i < n; ++i) {
       faulty_.push_back(std::make_unique<fault::FaultyTransport>(
           *endpoints[static_cast<std::size_t>(i)], sim_, *injector,
           static_cast<mac::NodeId>(i)));
@@ -161,26 +129,21 @@ bool Swarm::init(std::string* error) {
     }
   }
 
-  double wire_latency_us = config_.wire_latency_us;
+  double wire_latency_us = config_.live.wire_latency_us;
   if (wire_latency_us < 0.0) {
     wire_latency_us =
-        config_.transport == TransportKind::kLoopback
-            ? 0.5 * (config_.loopback.latency_min.to_us() +
-                     config_.loopback.latency_max.to_us())
+        config_.live.transport == TransportKind::kLoopback
+            ? 0.5 * (config_.live.loopback.latency_min.to_us() +
+                     config_.live.loopback.latency_max.to_us())
             : kUdpWireLatencyUs;
   }
 
-  for (int i = 0; i < config_.nodes; ++i) {
-    NodeConfig nc;
-    nc.id = static_cast<mac::NodeId>(i);
-    nc.total_nodes = config_.nodes;
-    nc.seed = config_.seed;
-    nc.sstsp = config_.sstsp;
-    nc.phy = config_.phy;
-    nc.max_drift_ppm = config_.max_drift_ppm;
-    nc.initial_offset_us = config_.initial_offset_us;
+  for (int i = 0; i < n; ++i) {
+    NodeConfig nc =
+        node_config(config_.scenario, static_cast<mac::NodeId>(i));
     nc.wire_latency_us = wire_latency_us;
-    nc.start_as_reference = config_.preestablished_reference && i == 0;
+    nc.start_as_reference =
+        config_.scenario.preestablished_reference && i == 0;
     nodes_.push_back(std::make_unique<NodeRuntime>(
         sim_, *endpoints[static_cast<std::size_t>(i)], nc));
   }
@@ -200,7 +163,7 @@ bool Swarm::init(std::string* error) {
   harness_.set_stations(std::move(stations), nodes_.size());
   expected_down_.assign(nodes_.size(), false);
 
-  if (config_.prom_port >= 0) {
+  if (config_.live.prom_port >= 0) {
     if (reactor_ == nullptr) {
       if (error != nullptr) {
         *error = "--prom-port needs the udp transport (a loopback run has "
@@ -210,7 +173,7 @@ bool Swarm::init(std::string* error) {
     }
     prom_ = std::make_unique<PromExporter>();
     if (!prom_->open(
-            *reactor_, static_cast<std::uint16_t>(config_.prom_port),
+            *reactor_, static_cast<std::uint16_t>(config_.live.prom_port),
             [this] { return prometheus_scrape_body(); }, error)) {
       return false;
     }
@@ -232,7 +195,8 @@ std::string Swarm::prometheus_scrape_body() {
     ++awake;
     if (st.protocol().is_synchronized()) ++synced;
   }
-  extra.emplace_back("swarm_nodes_total", static_cast<double>(config_.nodes));
+  extra.emplace_back("swarm_nodes_total",
+                     static_cast<double>(config_.scenario.num_nodes));
   extra.emplace_back("swarm_nodes_awake", static_cast<double>(awake));
   extra.emplace_back("swarm_nodes_synced", static_cast<double>(synced));
   if (const auto diff = instant_max_diff_us()) {
@@ -250,7 +214,7 @@ std::string Swarm::prometheus_scrape_body() {
 
 bool Swarm::init_telemetry_link(std::string* error) {
   if (observers_.telemetry() == nullptr ||
-      config_.transport != TransportKind::kUdp) {
+      config_.live.transport != TransportKind::kUdp) {
     return true;
   }
   // Live export path: each node publishes its sample as one datagram to
@@ -268,7 +232,7 @@ bool Swarm::init_telemetry_link(std::string* error) {
     if (error != nullptr) *error = "telemetry collector: " + link_error;
     return false;
   }
-  for (int i = 0; i < config_.nodes; ++i) {
+  for (int i = 0; i < config_.scenario.num_nodes; ++i) {
     auto exporter = TelemetryExporter::open(
         "127.0.0.1", collector_->local_port(), &link_error);
     if (exporter == nullptr) {
@@ -290,7 +254,8 @@ void Swarm::arm() {
     // Per-node samplers ride the hosting timeline: wall-paced through the
     // reactor in UDP mode (published as datagrams), virtual-time in
     // loopback mode (folded straight into the aggregate stream).
-    const auto until = sim::SimTime::from_sec_double(config_.duration_s);
+    const auto until =
+        sim::SimTime::from_sec_double(config_.scenario.duration_s);
     obs::TelemetrySampler::Options node_opts = sampler->options();
     node_opts.source = "node";
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
@@ -336,11 +301,14 @@ void Swarm::print_watch_line(const obs::TelemetrySample& sample) {
 void Swarm::run() {
   // Anchor before arming so any frame transmitted during power-on already
   // measures its dispatch lateness against a live wall mapping.
-  if (config_.transport == TransportKind::kUdp) reactor_->anchor(sim_.now());
+  if (config_.live.transport == TransportKind::kUdp) {
+    reactor_->anchor(sim_.now());
+  }
   arm();
   const auto wall_start = std::chrono::steady_clock::now();
-  const auto horizon = sim::SimTime::from_sec_double(config_.duration_s);
-  if (config_.transport == TransportKind::kUdp) {
+  const auto horizon =
+      sim::SimTime::from_sec_double(config_.scenario.duration_s);
+  if (config_.live.transport == TransportKind::kUdp) {
     // Wall-paced runs add the statistical SIGPROF sampler on top of the
     // dispatch-gated one: ITIMER_PROF fires on consumed CPU time, so
     // reactor sleeps are invisible to it (the wait/work gauges cover them).
@@ -360,7 +328,7 @@ void Swarm::run() {
   wall_seconds_ = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - wall_start)
                       .count();
-  if (config_.watch) std::fputc('\n', stderr);
+  if (config_.live.watch) std::fputc('\n', stderr);
 }
 
 run::RunResult Swarm::collect() {
@@ -420,7 +388,7 @@ run::RunResult Swarm::collect() {
   // side beacons — the heuristic stands down for partition plans rather
   // than misread planned isolation as a wedged process.
   failed_nodes_.clear();
-  const bool plan_partitions = !config_.faults.partitions.empty();
+  const bool plan_partitions = !config_.scenario.faults.partitions.empty();
   std::uint64_t frames_on_wire = 0;
   for (const auto& node : nodes_) {
     frames_on_wire += node->net_stats().frames_sent;
@@ -456,7 +424,7 @@ run::RunResult Swarm::collect() {
     result.audit->records.push_back(std::move(record));
   }
 
-  run::derive_series_stats(result, config_.duration_s);
+  run::derive_series_stats(result, config_.scenario.duration_s);
   return result;
 }
 

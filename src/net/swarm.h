@@ -1,7 +1,7 @@
 // In-process N-node live-stack orchestrator (the sstsp_swarm engine).
 //
-// A Swarm spawns `nodes` NodeRuntimes on one hosting Simulator, connects
-// them through either
+// A Swarm spawns `scenario.num_nodes` NodeRuntimes on one hosting
+// Simulator, connects them through either
 //   * LoopbackTransport — virtual-time hub, sim_.run_until() drives the
 //     run to completion as fast as the host can execute it, and a seeded
 //     run is bit-reproducible (tests/net_swarm_test.cpp); or
@@ -15,9 +15,10 @@
 // the audit/trace tooling consumes a live run unchanged.
 //
 // The result is reported as a run::RunResult (plus RunResult::net wire
-// accounting) against a synthesized run::Scenario, which makes the JSON
-// report and the strict-audit exit-code plumbing of sstsp_sim directly
-// reusable by sstsp_swarm.
+// accounting) against the run::Scenario it was configured with — the same
+// run description sstsp_sim parses — which makes the JSON report and the
+// strict-audit exit-code plumbing of sstsp_sim directly reusable by
+// sstsp_swarm.
 #pragma once
 
 #include <csignal>
@@ -41,15 +42,13 @@
 
 namespace sstsp::net {
 
-enum class TransportKind { kLoopback, kUdp };
+/// The run description a live deployment starts from: 5 nodes, 10 s,
+/// seed 1, SSTSP with the live-transport deviations (live_sstsp_defaults).
+[[nodiscard]] run::Scenario live_scenario();
 
-[[nodiscard]] const char* transport_kind_name(TransportKind kind);
-
-struct SwarmConfig {
-  int nodes = 5;
-  double duration_s = 10.0;
-  std::uint64_t seed = 1;
-
+/// The live half of a swarm run: how its nodes are wired, paced and
+/// exposed.  sstsp_swarm's flags write these fields directly (runner/cli.h).
+struct SwarmLive {
   TransportKind transport = TransportKind::kUdp;
 
   /// UDP mode: one socket per node, bound to this (loopback) address.
@@ -66,20 +65,6 @@ struct SwarmConfig {
   /// real sockets.
   double wire_latency_us = -1.0;
 
-  core::SstspConfig sstsp = live_sstsp_defaults();
-  mac::PhyParams phy{};
-
-  /// Injected faults (fault/plan.h) — the same plan format run::Network
-  /// consumes; packet directives apply through a FaultyTransport decorator
-  /// on each node's endpoint, node faults stop/start NodeRuntimes.
-  fault::FaultPlan faults{};
-
-  double max_drift_ppm = 100.0;
-  double initial_offset_us = 112.0;
-  /// Node 0 boots directly in the reference role (skips election).
-  bool preestablished_reference = false;
-
-  // Observability — same semantics as the run::Scenario fields.
   /// Lemma-1 divergence bound handed to the invariant monitor.  < 0 =
   /// auto: the library default (sim-calibrated 50 us) for virtual-time
   /// loopback runs, or kUdpDivergeThresholdUs for wall-paced UDP runs —
@@ -88,39 +73,22 @@ struct SwarmConfig {
   /// noisy measurement can transiently move a node's (k, b) solve by more
   /// than the hardware-timestamping model allows (see DESIGN.md
   /// "Live stack").  Convergence stays judged at the strict 25 us.
-  double monitor_diverge_us = -1.0;
-  double sample_period_s = 0.1;
-  std::size_t trace_capacity = 0;
-  bool collect_metrics = true;
-  bool profile = false;
-  bool monitor = false;
+  double diverge_threshold_us = -1.0;
 
-  // Streaming telemetry + flight recorder (DESIGN.md §10) — same semantics
-  // as the run::Scenario fields.  Cluster samples (source="swarm") are
-  // emitted from the existing clock-spread sampling tick; per-node samples
-  // (source="node") are emitted by each NodeRuntime and aggregated into the
-  // same JSONL stream — over a datagram socket on the reactor in UDP mode,
-  // by direct callback in virtual-time loopback mode.
-  std::string telemetry_out{};
-  double telemetry_interval_s = 1.0;
-  /// Attach the per-node error array to cluster samples: 1 = always,
-  /// 0 = never, < 0 = auto (deployments of <= 64 nodes).
-  int telemetry_per_node = -1;
-  std::string flight_recorder_out{};
-  std::size_t flight_capacity = 512;
   /// Live status line on stderr, refreshed once per telemetry interval
   /// (wall-paced UDP runs; a loopback run finishes in milliseconds).
   bool watch = false;
 
-  // Performance observatory (DESIGN.md §11).
-  /// Phase-sampling profiler into the metrics registry: virtual-time gated
-  /// on the dispatch loop, plus a SIGPROF statistical sampler on wall-paced
-  /// UDP runs.
-  bool phase_sampler = false;
-  double phase_sampler_interval_s = 0.001;
   /// Prometheus /metrics endpoint on the reactor (UDP mode only):
   /// -1 = off, 0 = ephemeral (port printed at startup), > 0 = fixed port.
   int prom_port = -1;
+};
+
+struct SwarmConfig {
+  /// The run: deployment size, duration, seed, protocol parameters,
+  /// faults and observability, with the same semantics as in the sim.
+  run::Scenario scenario = live_scenario();
+  SwarmLive live;
 };
 
 class Swarm {
@@ -144,7 +112,7 @@ class Swarm {
   /// The scenario the observers were built from and the report is
   /// written against (for json_report).
   [[nodiscard]] const run::Scenario& reporting_scenario() const {
-    return scenario_;
+    return config_.scenario;
   }
 
   [[nodiscard]] int node_count() const {
@@ -200,8 +168,7 @@ class Swarm {
   void print_watch_line(const obs::TelemetrySample& sample);
   [[nodiscard]] std::string prometheus_scrape_body();
 
-  SwarmConfig config_;
-  const run::Scenario scenario_;
+  const SwarmConfig config_;
   sim::Simulator sim_;
   run::ObserverSet observers_;
   run::Harness harness_;

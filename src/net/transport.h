@@ -26,6 +26,14 @@
 
 namespace sstsp::net {
 
+/// Which wire a live deployment runs over: the in-process virtual-time hub
+/// (loopback.h) or real UDP sockets (udp.h).
+enum class TransportKind { kLoopback, kUdp };
+
+[[nodiscard]] inline const char* transport_kind_name(TransportKind kind) {
+  return kind == TransportKind::kLoopback ? "loopback" : "udp";
+}
+
 struct TransportStats {
   std::uint64_t datagrams_sent{0};
   std::uint64_t bytes_sent{0};

@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <charconv>
+#include <limits>
 #include <sstream>
 
 #include "attack/adversary.h"
 #include "core/discipline.h"
 #include "fault/plan.h"
+#include "net/node.h"
+#include "net/swarm.h"
 #include "obs/json.h"
-#include "runner/config_file.h"
 
 namespace sstsp::run {
 
@@ -39,6 +41,40 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return parts;
 }
 
+/// Parses `v` into *out when it is an integer in [lo, hi].
+template <typename T>
+bool integer(const std::string& v, long long lo, long long hi, T* out) {
+  long long n = 0;
+  if (!parse_int(v, &n) || n < lo || n > hi) return false;
+  *out = static_cast<T>(n);
+  return true;
+}
+
+constexpr long long kMaxInt = std::numeric_limits<long long>::max();
+
+bool any(double) { return true; }
+bool positive(double d) { return d > 0; }
+bool non_negative(double d) { return d >= 0; }
+bool probability(double d) { return d >= 0 && d < 1; }
+
+/// Parses `v` into *out when it is a number that `ok` accepts.
+bool real(const std::string& v, double* out, bool (*ok)(double)) {
+  double d = 0;
+  if (!parse_double(v, &d) || !ok(d)) return false;
+  *out = d;
+  return true;
+}
+
+bool endpoint(const std::string& s, net::UdpEndpoint* out) {
+  const auto colon = s.rfind(':');
+  if (colon == std::string::npos || colon == 0 || colon + 1 == s.size()) {
+    return false;
+  }
+  if (!integer(s.substr(colon + 1), 1, 65535, &out->port)) return false;
+  out->host = s.substr(0, colon);
+  return true;
+}
+
 std::optional<ProtocolKind> parse_protocol(const std::string& name) {
   if (name == "tsf") return ProtocolKind::kTsf;
   if (name == "atsp") return ProtocolKind::kAtsp;
@@ -49,10 +85,561 @@ std::optional<ProtocolKind> parse_protocol(const std::string& name) {
   return std::nullopt;
 }
 
+template <typename Names>
+std::string join(const Names& names) {
+  std::string joined;
+  for (const auto& name : names) {
+    if (!joined.empty()) joined += ", ";
+    joined += name;
+  }
+  return joined;
+}
+
+/// The value of one flag and the options it writes into.
+struct Arg {
+  const std::string& v;
+  CliOptions& opts;
+  std::string error;  ///< set when "--name needs ..." would say too little
+
+  Scenario& s() { return opts.scenario; }
+  LiveOptions& live() { return opts.live; }
+  OutputOptions& out() { return opts.output; }
+  bool fail(std::string message) {
+    error = std::move(message);
+    return false;
+  }
+  /// Makes sure the run records a trace ring of at least `capacity`.
+  bool keep_trace(std::size_t capacity) {
+    s().trace_capacity = std::max(s().trace_capacity, capacity);
+    return true;
+  }
+};
+
+constexpr unsigned kSim = 1U;
+constexpr unsigned kNode = 2U;
+constexpr unsigned kSwarm = 4U;
+constexpr unsigned kAll = kSim | kNode | kSwarm;
+
+unsigned tool_bit(ConfigTool tool) {
+  switch (tool) {
+    case ConfigTool::kSim:
+      return kSim;
+    case ConfigTool::kNode:
+      return kNode;
+    case ConfigTool::kSwarm:
+      return kSwarm;
+  }
+  return 0;
+}
+
+struct Flag {
+  std::string_view name;   ///< without "--"; also the config key
+  unsigned tools;          ///< kSim | kNode | kSwarm
+  std::string_view needs;  ///< "--name needs <needs>"; empty: a bare flag
+  bool (*apply)(Arg& a);   ///< false on a bad value
+};
+
+// The trace ring sizes: --trace and friends print the newest events, so
+// keep plenty; the streaming sinks write at record time, so a modest ring
+// suffices for them.
+constexpr std::size_t kDumpRing = 1 << 18;
+constexpr std::size_t kStreamRing = 1 << 12;
+
+constexpr Flag kFlags[] = {
+    // scenario / deployment
+    {"protocol", kSim, "a value",
+     [](Arg& a) {
+       const auto kind = parse_protocol(a.v);
+       if (!kind) return a.fail("unknown protocol: " + a.v);
+       a.s().protocol = *kind;
+       return true;
+     }},
+    {"nodes", kAll, "a positive integer (max 1000000)",
+     [](Arg& a) { return integer(a.v, 1, 1000000, &a.s().num_nodes); }},
+    {"duration", kAll, "a positive number of seconds",
+     [](Arg& a) { return real(a.v, &a.s().duration_s, positive); }},
+    {"seed", kAll, "an integer",
+     [](Arg& a) {
+       return integer(a.v, std::numeric_limits<long long>::min(), kMaxInt,
+                      &a.s().seed);
+     }},
+    {"paper-env", kSim, "",
+     [](Arg& a) {
+       a.s().churn = ChurnSpec{};
+       a.s().duration_s = 1000.0;
+       if (a.s().protocol == ProtocolKind::kSstsp) {
+         a.s().reference_departures_s = {300.0, 500.0, 800.0};
+       }
+       return true;
+     }},
+    {"threads", kSim, "an integer in [0, 1024]",
+     [](Arg& a) { return integer(a.v, 0, 1024, &a.s().threads); }},
+    {"shards", kSim, "an integer in [0, 4096]",
+     [](Arg& a) { return integer(a.v, 0, 4096, &a.s().shards); }},
+    {"radio-range", kSim, "a distance in metres >= 0",
+     [](Arg& a) { return real(a.v, &a.s().phy.radio_range_m, non_negative); }},
+    {"placement-radius", kSim, "a distance in metres > 0",
+     [](Arg& a) {
+       return real(a.v, &a.s().phy.placement_radius_m, positive);
+     }},
+    {"id", kNode, "a non-negative integer",
+     [](Arg& a) {
+       return integer(a.v, 0, std::numeric_limits<mac::NodeId>::max(),
+                      &a.live().id);
+     }},
+    // protocol parameters
+    {"m", kAll, "a positive integer",
+     [](Arg& a) { return integer(a.v, 1, kMaxInt, &a.s().sstsp.m); }},
+    {"l", kAll, "a positive integer",
+     [](Arg& a) { return integer(a.v, 1, kMaxInt, &a.s().sstsp.l); }},
+    {"guard", kAll, "a positive value in us",
+     [](Arg& a) { return real(a.v, &a.s().sstsp.guard_fine_us, positive); }},
+    {"chain-length", kAll, "an integer >= 10",
+     [](Arg& a) {
+       return integer(a.v, 10, kMaxInt, &a.s().sstsp.chain_length);
+     }},
+    {"per", kSim, "a probability in [0, 1)",
+     [](Arg& a) {
+       return real(a.v, &a.s().phy.packet_error_rate, probability);
+     }},
+    {"preestablished", kSim | kSwarm, "",
+     [](Arg& a) { return a.s().preestablished_reference = true; }},
+    {"reference", kNode, "",
+     [](Arg& a) { return a.live().reference = true; }},
+    // clusters (hierarchical multi-domain sync, DESIGN.md §13)
+    {"clusters", kSim, "an integer in [0, 127]",
+     [](Arg& a) { return integer(a.v, 0, 0x7f, &a.s().cluster.clusters); }},
+    {"cluster-nodes", kSim, "an integer >= 2",
+     [](Arg& a) {
+       return integer(a.v, 2, kMaxInt, &a.s().cluster.nodes_per_cluster);
+     }},
+    {"cluster-gateways", kSim, "a positive integer",
+     [](Arg& a) {
+       return integer(a.v, 1, kMaxInt, &a.s().cluster.gateways);
+     }},
+    {"cluster-spacing", kSim, "a distance in metres > 0",
+     [](Arg& a) { return real(a.v, &a.s().cluster.spacing_m, positive); }},
+    {"cluster-radius", kSim, "a distance in metres > 0",
+     [](Arg& a) { return real(a.v, &a.s().cluster.radius_m, positive); }},
+    {"cluster-phase", kSim, "a us value >= 0",
+     [](Arg& a) { return real(a.v, &a.s().cluster.phase_us, non_negative); }},
+    {"cluster-hop-bound", kSim, "a positive us value",
+     [](Arg& a) { return real(a.v, &a.s().cluster.hop_bound_us, positive); }},
+    // environment
+    {"churn", kSim, "period,fraction,absence",
+     [](Arg& a) {
+       const auto parts = split(a.v, ',');
+       ChurnSpec churn;
+       if (parts.size() != 3 || !parse_double(parts[0], &churn.period_s) ||
+           !parse_double(parts[1], &churn.fraction) ||
+           !parse_double(parts[2], &churn.absence_s)) {
+         return false;
+       }
+       a.s().churn = churn;
+       return true;
+     }},
+    {"departures", kSim, "t1,t2,...",
+     [](Arg& a) {
+       a.s().reference_departures_s.clear();
+       for (const auto& part : split(a.v, ',')) {
+         double t = 0;
+         if (!parse_double(part, &t)) {
+           return a.fail("--departures needs numeric times");
+         }
+         a.s().reference_departures_s.push_back(t);
+       }
+       return true;
+     }},
+    {"sample-period", kSim | kSwarm, "a positive number of seconds",
+     [](Arg& a) { return real(a.v, &a.s().sample_period_s, positive); }},
+    {"max-drift", kAll, "a ppm value >= 0",
+     [](Arg& a) { return real(a.v, &a.s().max_drift_ppm, non_negative); }},
+    {"initial-offset", kAll, "a us value >= 0",
+     [](Arg& a) {
+       return real(a.v, &a.s().initial_offset_us, non_negative);
+     }},
+    {"drift", kNode, "a value in ppm",
+     [](Arg& a) {
+       a.live().emulate_clock = false;
+       return real(a.v, &a.live().drift_ppm, any);
+     }},
+    {"offset", kNode, "a value in us",
+     [](Arg& a) {
+       a.live().emulate_clock = false;
+       return real(a.v, &a.live().offset_us, any);
+     }},
+    // attack + faults
+    {"attack", kSim, "a kind",
+     [](Arg& a) {
+       if (!attack::adversary_known(a.v)) {
+         return a.fail("unknown attack: " + a.v + " (known: " +
+                       join(attack::adversary_names()) + ")");
+       }
+       a.s().attack = a.v;
+       return true;
+     }},
+    {"attack-window", kSim, "start,end",
+     [](Arg& a) {
+       const auto parts = split(a.v, ',');
+       double start = 0;
+       double end = 0;
+       if (parts.size() != 2 || !parse_double(parts[0], &start) ||
+           !parse_double(parts[1], &end) || end <= start) {
+         return a.fail("--attack-window needs start,end with end > start");
+       }
+       a.s().tsf_attack.start_s = start;
+       a.s().tsf_attack.end_s = end;
+       a.s().sstsp_attack.start_s = start;
+       a.s().sstsp_attack.end_s = end;
+       return true;
+     }},
+    {"attack-params", kSim, "a JSON object",
+     [](Arg& a) {
+       if (!obs::json::parse(a.v)) {
+         return a.fail("--attack-params is not valid JSON: " + a.v);
+       }
+       a.s().attack_params_json = a.v;
+       return true;
+     }},
+    {"skew", kSim, "a rate in us/s",
+     [](Arg& a) {
+       return real(a.v, &a.s().sstsp_attack.skew_rate_us_per_s, any);
+     }},
+    {"faults", kAll, "a path",
+     [](Arg& a) {
+       std::string plan_error;
+       const auto plan = fault::load_plan(a.v, &plan_error);
+       if (!plan) return a.fail(plan_error);
+       a.s().faults = *plan;
+       return true;
+     }},
+    {"faults-json", kAll, "JSON text",
+     [](Arg& a) {
+       std::string plan_error;
+       const auto plan = fault::parse_plan_text(a.v, &plan_error);
+       if (!plan) return a.fail("--faults-json: " + plan_error);
+       a.s().faults = *plan;
+       return true;
+     }},
+    // clock discipline + oscillator stress (DESIGN.md §14)
+    {"discipline", kAll, "a name",
+     [](Arg& a) {
+       if (!core::discipline_known(a.v)) {
+         return a.fail("unknown discipline: " + a.v + " (known: " +
+                       join(core::discipline_names()) + ")");
+       }
+       a.s().sstsp.discipline.name = a.v;
+       return true;
+     }},
+    {"discipline-params", kAll, "a JSON object",
+     [](Arg& a) {
+       const auto parsed = obs::json::parse(a.v);
+       if (!parsed) {
+         return a.fail("--discipline-params is not valid JSON: " + a.v);
+       }
+       std::string dsc_error;
+       if (!core::apply_discipline_json(*parsed, &a.s().sstsp, &dsc_error)) {
+         return a.fail("--discipline-params: " + dsc_error);
+       }
+       return true;
+     }},
+    {"clock-model", kSim, "a kind",
+     [](Arg& a) {
+       const auto kind = clock_model_kind_from_string(a.v);
+       if (!kind) {
+         return a.fail("unknown clock model: " + a.v +
+                       " (known: none, temp-ramp, aging, random-walk)");
+       }
+       a.s().clock_stress.kind = *kind;
+       return true;
+     }},
+    {"clock-model-params", kSim, "a JSON object",
+     [](Arg& a) {
+       const auto parsed = obs::json::parse(a.v);
+       if (!parsed) {
+         return a.fail("--clock-model-params is not valid JSON: " + a.v);
+       }
+       std::string clk_error;
+       if (!apply_clock_model_json(*parsed, &a.s().clock_stress,
+                                   &clk_error)) {
+         return a.fail("--clock-model-params: " + clk_error);
+       }
+       return true;
+     }},
+    // live endpoints / pacing
+    {"transport", kSwarm, "udp | loopback",
+     [](Arg& a) {
+       if (a.v == "udp") {
+         a.live().swarm.transport = net::TransportKind::kUdp;
+       } else if (a.v == "loopback") {
+         a.live().swarm.transport = net::TransportKind::kLoopback;
+       } else {
+         return a.fail("unknown transport: " + a.v);
+       }
+       return true;
+     }},
+    {"bind", kNode | kSwarm, "an address",
+     [](Arg& a) {
+       a.live().swarm.bind_address = a.v;
+       return true;
+     }},
+    {"port", kNode, "a port number",
+     [](Arg& a) { return integer(a.v, 0, 65535, &a.live().udp.bind_port); }},
+    {"base-port", kSwarm, "a port number",
+     [](Arg& a) { return integer(a.v, 0, 65535, &a.live().swarm.base_port); }},
+    {"peer", kNode, "HOST:PORT",
+     [](Arg& a) {
+       net::UdpEndpoint peer;
+       if (!endpoint(a.v, &peer)) return false;
+       a.live().udp.peers.push_back(peer);
+       return true;
+     }},
+    {"multicast", kNode, "GROUP:PORT",
+     [](Arg& a) {
+       net::UdpEndpoint group;
+       if (!endpoint(a.v, &group)) return false;
+       a.live().udp.multicast_group = group.host;
+       a.live().udp.multicast_port = group.port;
+       return true;
+     }},
+    {"mcast-if", kNode, "an address",
+     [](Arg& a) {
+       a.live().udp.multicast_interface = a.v;
+       return true;
+     }},
+    {"ttl", kNode, "a value in [0, 255]",
+     [](Arg& a) { return integer(a.v, 0, 255, &a.live().udp.multicast_ttl); }},
+    {"latency", kSwarm, "min,max in us",
+     [](Arg& a) {
+       const auto parts = split(a.v, ',');
+       double lo = 0;
+       double hi = 0;
+       if (parts.size() != 2 || !parse_double(parts[0], &lo) ||
+           !parse_double(parts[1], &hi) || lo < 0 || hi < lo) {
+         return a.fail("--latency needs min,max in us with max >= min >= 0");
+       }
+       a.live().swarm.loopback.latency_min = sim::SimTime::from_us_double(lo);
+       a.live().swarm.loopback.latency_max = sim::SimTime::from_us_double(hi);
+       return true;
+     }},
+    {"drop", kSwarm, "a probability in [0, 1)",
+     [](Arg& a) {
+       return real(a.v, &a.live().swarm.loopback.drop_probability, probability);
+     }},
+    {"wire-latency", kNode | kSwarm, "a value in us",
+     [](Arg& a) {
+       return real(a.v, &a.live().swarm.wire_latency_us, non_negative);
+     }},
+    {"diverge-threshold", kSwarm, "a value in us",
+     [](Arg& a) {
+       return real(a.v, &a.live().swarm.diverge_threshold_us, non_negative);
+     }},
+    {"epoch", kNode, "a UNIX time in seconds",
+     [](Arg& a) { return real(a.v, &a.live().epoch_unix_s, non_negative); }},
+    // output / checks
+    {"csv", kSim | kSwarm, "a path",
+     [](Arg& a) {
+       a.out().csv_path = a.v;
+       return true;
+     }},
+    {"chart", kSim | kSwarm, "",
+     [](Arg& a) { return a.out().ascii_chart = true; }},
+    {"trace", kAll, "",
+     [](Arg& a) {
+       a.out().dump_trace = true;
+       return a.keep_trace(kDumpRing);
+     }},
+    {"trace-limit", kAll, "a positive integer",
+     [](Arg& a) {
+       a.out().dump_trace = true;
+       return integer(a.v, 1, kMaxInt, &a.out().trace_limit) &&
+              a.keep_trace(kDumpRing);
+     }},
+    {"trace-kind", kAll, "an event kind",
+     [](Arg& a) {
+       const auto kind = trace::kind_from_string(a.v);
+       if (!kind) {
+         std::vector<std::string_view> valid;
+         for (int k = 0; k < static_cast<int>(trace::kEventKindCount); ++k) {
+           valid.push_back(trace::to_string(static_cast<trace::EventKind>(k)));
+         }
+         return a.fail("unknown event kind: " + a.v + " (valid kinds: " +
+                       join(valid) + ")");
+       }
+       a.out().trace_kind = *kind;
+       a.out().dump_trace = true;
+       return a.keep_trace(kDumpRing);
+     }},
+    {"json-out", kAll, "a path",
+     [](Arg& a) {
+       a.out().json_out_path = a.v;
+       return a.keep_trace(kStreamRing);
+     }},
+    {"metrics-out", kAll, "a path",
+     [](Arg& a) {
+       a.out().metrics_out_path = a.v;
+       return true;
+     }},
+    {"profile", kAll, "", [](Arg& a) { return a.s().profile = true; }},
+    {"monitor", kAll, "", [](Arg& a) { return a.s().monitor = true; }},
+    {"expect-sync", kSwarm, "",
+     [](Arg& a) { return a.live().expect_sync = true; }},
+    // telemetry / flight recorder (DESIGN.md §10)
+    {"telemetry-out", kAll, "a path",
+     [](Arg& a) {
+       a.s().telemetry_out = a.v;
+       return true;
+     }},
+    {"telemetry-interval", kAll, "a positive number of seconds",
+     [](Arg& a) { return real(a.v, &a.s().telemetry_interval_s, positive); }},
+    {"telemetry-per-node", kSim | kSwarm, "0 or 1",
+     [](Arg& a) { return integer(a.v, 0, 1, &a.s().telemetry_per_node); }},
+    {"telemetry-udp", kNode, "HOST:PORT",
+     [](Arg& a) { return endpoint(a.v, &a.live().telemetry_udp); }},
+    {"flight-recorder", kAll, "a path",
+     [](Arg& a) {
+       a.s().flight_recorder_out = a.v;
+       return true;
+     }},
+    {"flight-capacity", kAll, "an integer >= 16",
+     [](Arg& a) {
+       return integer(a.v, 16, kMaxInt, &a.s().flight_capacity);
+     }},
+    {"watch", kSwarm, "", [](Arg& a) { return a.live().swarm.watch = true; }},
+    // performance observatory (DESIGN.md §11)
+    {"timeline-out", kAll, "a path",
+     [](Arg& a) {
+       a.out().timeline_out_path = a.v;
+       return a.keep_trace(kStreamRing);
+     }},
+    {"sampler", kAll, "", [](Arg& a) { return a.s().phase_sampler = true; }},
+    {"sampler-interval", kAll, "a positive number of seconds",
+     [](Arg& a) {
+       a.s().phase_sampler = true;
+       return real(a.v, &a.s().phase_sampler_interval_s, positive);
+     }},
+    {"prom-textfile", kAll, "a path",
+     [](Arg& a) {
+       a.out().prom_textfile_path = a.v;
+       return true;
+     }},
+    {"prom-port", kNode | kSwarm, "a port number (0 = ephemeral)",
+     [](Arg& a) { return integer(a.v, 0, 65535, &a.live().swarm.prom_port); }},
+};
+
+const Flag* find_flag(std::string_view name) {
+  for (const auto& flag : kFlags) {
+    if (flag.name == name) return &flag;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
-std::string cli_usage() {
-  return R"(usage: sstsp_sim [options]
+CliOptions cli_defaults(ConfigTool tool) {
+  CliOptions opts;
+  if (tool == ConfigTool::kSim) {
+    opts.scenario.num_nodes = 100;
+    opts.scenario.duration_s = 200.0;
+  } else {
+    opts.scenario = net::live_scenario();
+  }
+  if (tool == ConfigTool::kNode) {
+    opts.live.swarm.bind_address = net::UdpConfig{}.bind_address;
+    opts.live.swarm.wire_latency_us = net::kUdpWireLatencyUs;
+  }
+  opts.scenario.sstsp.chain_length = 0;
+  return opts;
+}
+
+std::size_t chain_length_for(double span_s) {
+  return static_cast<std::size_t>(span_s * 10.0) + 200;
+}
+
+bool flag_known(std::string_view name) { return find_flag(name) != nullptr; }
+
+bool flag_applies(std::string_view name, ConfigTool tool) {
+  const Flag* flag = find_flag(name);
+  return flag != nullptr && (flag->tools & tool_bit(tool)) != 0;
+}
+
+std::vector<std::string_view> flag_names(ConfigTool tool) {
+  std::vector<std::string_view> names;
+  for (const auto& flag : kFlags) {
+    if ((flag.tools & tool_bit(tool)) != 0) names.push_back(flag.name);
+  }
+  return names;
+}
+
+std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
+                                    ConfigTool tool,
+                                    std::string* error) {
+  CliOptions opts = cli_defaults(tool);
+  bool config_loaded = false;
+
+  auto fail = [error](const std::string& message) {
+    if (error != nullptr) *error = message;
+    return std::nullopt;
+  };
+
+  // --config splices the file's flags in place, so iterate a mutable copy.
+  std::vector<std::string> argv = args;
+  for (std::size_t i = 0; i < argv.size(); ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      opts.help = true;
+      return opts;
+    }
+    if (arg == "--config") {
+      if (i + 1 >= argv.size()) return fail("--config needs a path");
+      if (config_loaded) return fail("--config may be given only once");
+      config_loaded = true;
+      std::string cfg_error;
+      const auto cfg_args = load_config_args(argv[++i], tool, &cfg_error);
+      if (!cfg_args) return fail(cfg_error);
+      argv.insert(argv.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                  cfg_args->begin(), cfg_args->end());
+      continue;
+    }
+
+    // --monitor=strict is the one =-style spelling: --monitor, plus a
+    // non-zero exit on any audit record.
+    const bool strict = arg == "--monitor=strict";
+    const Flag* flag = nullptr;
+    if (arg.size() > 2 && arg.starts_with("--")) {
+      flag = find_flag(strict ? "monitor" : std::string_view(arg).substr(2));
+    }
+    if (flag == nullptr || (flag->tools & tool_bit(tool)) == 0) {
+      return fail("unknown option: " + arg);
+    }
+    const std::string needs =
+        "--" + std::string(flag->name) + " needs " + std::string(flag->needs);
+    std::string value;
+    if (!flag->needs.empty()) {
+      if (i + 1 >= argv.size()) return fail(needs);
+      value = argv[++i];
+    }
+    Arg a{value, opts, {}};
+    if (!flag->apply(a)) return fail(a.error.empty() ? needs : a.error);
+    if (strict) opts.output.monitor_strict = true;
+  }
+
+  Scenario& s = opts.scenario;
+  if (s.sstsp.chain_length == 0 && tool != ConfigTool::kNode) {
+    s.sstsp.chain_length = chain_length_for(s.duration_s);
+  }
+  if (s.cluster.enabled()) {
+    // The cluster layout fixes the node count; --nodes would silently
+    // disagree with the cluster-major id arithmetic otherwise.
+    s.num_nodes = s.cluster.total_nodes();
+  }
+  return opts;
+}
+
+std::string cli_usage(ConfigTool tool) {
+  switch (tool) {
+    case ConfigTool::kSim:
+      return R"(usage: sstsp_sim [options]
 
 scenario:
   --protocol P          tsf | atsp | tatsp | satsf | rentel-kunz | sstsp
@@ -192,398 +779,177 @@ performance observatory (DESIGN.md §11):
                         exposition format (node_exporter textfile shape)
   --help                this text
 )";
-}
+    case ConfigTool::kNode:
+      return R"(usage: sstsp_node [options]
 
-std::optional<CliOptions> parse_cli(const std::vector<std::string>& args,
-                                    std::string* error) {
-  CliOptions opts;
-  Scenario& s = opts.scenario;
-  s.num_nodes = 100;
-  s.duration_s = 200.0;
-  bool chain_set = false;
-  bool config_loaded = false;
+identity:
+  --id N                this node's id in [0, nodes) (default 0)
+  --nodes N             deployment size; every process must agree
+                        (default 5)
+  --seed S              deployment seed: trust anchors + emulated clocks;
+                        every process must agree (default 1)
+  --duration S          run length in seconds (default 10)
 
-  auto fail = [error](const std::string& message) {
-    if (error != nullptr) *error = message;
-    return std::nullopt;
-  };
+endpoint (unicast mesh):
+  --bind ADDR           bind address (default 0.0.0.0)
+  --port P              bind port (default 0 = ephemeral; print and wire
+                        peers by hand, or use fixed ports)
+  --peer HOST:PORT      a peer endpoint; repeatable
 
-  // --config splices the file's flags in place, so iterate a mutable copy.
-  std::vector<std::string> argv = args;
-  for (std::size_t i = 0; i < argv.size(); ++i) {
-    const std::string arg = argv[i];
-    auto next = [&](std::string* out) {
-      if (i + 1 >= argv.size()) return false;
-      *out = argv[++i];
-      return true;
-    };
-    std::string v;
+endpoint (multicast, replaces --peer):
+  --multicast G:P       join group G, send/receive on port P
+  --mcast-if ADDR       interface address to join on (default 127.0.0.1)
+  --ttl N               multicast TTL (default 0 = same host)
+  --wire-latency US     expected one-way wire latency compensated on
+                        receive (default 10, a localhost UDP hop)
 
-    if (arg == "--help" || arg == "-h") {
-      opts.help = true;
-      return opts;
-    } else if (arg == "--protocol") {
-      if (!next(&v)) return fail("--protocol needs a value");
-      const auto kind = parse_protocol(v);
-      if (!kind) return fail("unknown protocol: " + v);
-      s.protocol = *kind;
-    } else if (arg == "--nodes") {
-      long long n = 0;
-      if (!next(&v) || !parse_int(v, &n) || n < 1 || n > 1000000) {
-        return fail("--nodes needs a positive integer (max 1000000)");
-      }
-      s.num_nodes = static_cast<int>(n);
-    } else if (arg == "--threads") {
-      long long n = 0;
-      if (!next(&v) || !parse_int(v, &n) || n < 0 || n > 1024) {
-        return fail("--threads needs an integer in [0, 1024]");
-      }
-      s.threads = static_cast<int>(n);
-    } else if (arg == "--shards") {
-      long long n = 0;
-      if (!next(&v) || !parse_int(v, &n) || n < 0 || n > 4096) {
-        return fail("--shards needs an integer in [0, 4096]");
-      }
-      s.shards = static_cast<int>(n);
-    } else if (arg == "--radio-range") {
-      double m = 0;
-      if (!next(&v) || !parse_double(v, &m) || m < 0) {
-        return fail("--radio-range needs a distance in metres >= 0");
-      }
-      s.phy.radio_range_m = m;
-    } else if (arg == "--placement-radius") {
-      double m = 0;
-      if (!next(&v) || !parse_double(v, &m) || m <= 0) {
-        return fail("--placement-radius needs a distance in metres > 0");
-      }
-      s.phy.placement_radius_m = m;
-    } else if (arg == "--duration") {
-      double d = 0;
-      if (!next(&v) || !parse_double(v, &d) || d <= 0) {
-        return fail("--duration needs a positive number of seconds");
-      }
-      s.duration_s = d;
-    } else if (arg == "--seed") {
-      long long n = 0;
-      if (!next(&v) || !parse_int(v, &n)) return fail("--seed needs an integer");
-      s.seed = static_cast<std::uint64_t>(n);
-    } else if (arg == "--paper-env") {
-      s.churn = ChurnSpec{};
-      s.duration_s = 1000.0;
-      if (s.protocol == ProtocolKind::kSstsp) {
-        s.reference_departures_s = {300.0, 500.0, 800.0};
-      }
-    } else if (arg == "--m") {
-      long long n = 0;
-      if (!next(&v) || !parse_int(v, &n) || n < 1) {
-        return fail("--m needs a positive integer");
-      }
-      s.sstsp.m = static_cast<int>(n);
-    } else if (arg == "--l") {
-      long long n = 0;
-      if (!next(&v) || !parse_int(v, &n) || n < 1) {
-        return fail("--l needs a positive integer");
-      }
-      s.sstsp.l = static_cast<int>(n);
-    } else if (arg == "--guard") {
-      double g = 0;
-      if (!next(&v) || !parse_double(v, &g) || g <= 0) {
-        return fail("--guard needs a positive value in us");
-      }
-      s.sstsp.guard_fine_us = g;
-    } else if (arg == "--chain-length") {
-      long long n = 0;
-      if (!next(&v) || !parse_int(v, &n) || n < 10) {
-        return fail("--chain-length needs an integer >= 10");
-      }
-      s.sstsp.chain_length = static_cast<std::size_t>(n);
-      chain_set = true;
-    } else if (arg == "--per") {
-      double p = 0;
-      if (!next(&v) || !parse_double(v, &p) || p < 0 || p >= 1) {
-        return fail("--per needs a probability in [0, 1)");
-      }
-      s.phy.packet_error_rate = p;
-    } else if (arg == "--preestablished") {
-      s.preestablished_reference = true;
-    } else if (arg == "--discipline") {
-      if (!next(&v)) return fail("--discipline needs a name");
-      if (!core::discipline_known(v)) {
-        std::string valid;
-        for (const auto& name : core::discipline_names()) {
-          if (!valid.empty()) valid += ", ";
-          valid += name;
-        }
-        return fail("unknown discipline: " + v + " (known: " + valid + ")");
-      }
-      s.sstsp.discipline.name = v;
-    } else if (arg == "--discipline-params") {
-      if (!next(&v)) return fail("--discipline-params needs a JSON object");
-      const auto parsed = obs::json::parse(v);
-      if (!parsed) {
-        return fail("--discipline-params is not valid JSON: " + v);
-      }
-      std::string dsc_error;
-      if (!core::apply_discipline_json(*parsed, &s.sstsp, &dsc_error)) {
-        return fail("--discipline-params: " + dsc_error);
-      }
-    } else if (arg == "--clock-model") {
-      if (!next(&v)) return fail("--clock-model needs a kind");
-      const auto kind = clock_model_kind_from_string(v);
-      if (!kind) {
-        return fail("unknown clock model: " + v +
-                    " (known: none, temp-ramp, aging, random-walk)");
-      }
-      s.clock_stress.kind = *kind;
-    } else if (arg == "--clock-model-params") {
-      if (!next(&v)) return fail("--clock-model-params needs a JSON object");
-      const auto parsed = obs::json::parse(v);
-      if (!parsed) {
-        return fail("--clock-model-params is not valid JSON: " + v);
-      }
-      std::string clk_error;
-      if (!apply_clock_model_json(*parsed, &s.clock_stress, &clk_error)) {
-        return fail("--clock-model-params: " + clk_error);
-      }
-    } else if (arg == "--clusters") {
-      long long n = 0;
-      if (!next(&v) || !parse_int(v, &n) || n < 0 || n > 0x7f) {
-        return fail("--clusters needs an integer in [0, 127]");
-      }
-      s.cluster.clusters = static_cast<int>(n);
-    } else if (arg == "--cluster-nodes") {
-      long long n = 0;
-      if (!next(&v) || !parse_int(v, &n) || n < 2) {
-        return fail("--cluster-nodes needs an integer >= 2");
-      }
-      s.cluster.nodes_per_cluster = static_cast<int>(n);
-    } else if (arg == "--cluster-gateways") {
-      long long n = 0;
-      if (!next(&v) || !parse_int(v, &n) || n < 1) {
-        return fail("--cluster-gateways needs a positive integer");
-      }
-      s.cluster.gateways = static_cast<int>(n);
-    } else if (arg == "--cluster-spacing") {
-      double m = 0;
-      if (!next(&v) || !parse_double(v, &m) || m <= 0) {
-        return fail("--cluster-spacing needs a distance in metres > 0");
-      }
-      s.cluster.spacing_m = m;
-    } else if (arg == "--cluster-radius") {
-      double m = 0;
-      if (!next(&v) || !parse_double(v, &m) || m <= 0) {
-        return fail("--cluster-radius needs a distance in metres > 0");
-      }
-      s.cluster.radius_m = m;
-    } else if (arg == "--cluster-phase") {
-      double p = 0;
-      if (!next(&v) || !parse_double(v, &p) || p < 0) {
-        return fail("--cluster-phase needs a us value >= 0");
-      }
-      s.cluster.phase_us = p;
-    } else if (arg == "--cluster-hop-bound") {
-      double b = 0;
-      if (!next(&v) || !parse_double(v, &b) || b <= 0) {
-        return fail("--cluster-hop-bound needs a positive us value");
-      }
-      s.cluster.hop_bound_us = b;
-    } else if (arg == "--churn") {
-      if (!next(&v)) return fail("--churn needs period,fraction,absence");
-      const auto parts = split(v, ',');
-      ChurnSpec churn;
-      if (parts.size() != 3 || !parse_double(parts[0], &churn.period_s) ||
-          !parse_double(parts[1], &churn.fraction) ||
-          !parse_double(parts[2], &churn.absence_s)) {
-        return fail("--churn needs period,fraction,absence");
-      }
-      s.churn = churn;
-    } else if (arg == "--departures") {
-      if (!next(&v)) return fail("--departures needs t1,t2,...");
-      s.reference_departures_s.clear();
-      for (const auto& part : split(v, ',')) {
-        double t = 0;
-        if (!parse_double(part, &t)) {
-          return fail("--departures needs numeric times");
-        }
-        s.reference_departures_s.push_back(t);
-      }
-    } else if (arg == "--attack") {
-      if (!next(&v)) return fail("--attack needs a kind");
-      if (!attack::adversary_known(v)) {
-        std::string valid;
-        for (const auto& name : attack::adversary_names()) {
-          if (!valid.empty()) valid += ", ";
-          valid += name;
-        }
-        return fail("unknown attack: " + v + " (known: " + valid + ")");
-      }
-      s.attack = v;
-    } else if (arg == "--attack-params") {
-      if (!next(&v)) return fail("--attack-params needs a JSON object");
-      if (!obs::json::parse(v)) {
-        return fail("--attack-params is not valid JSON: " + v);
-      }
-      s.attack_params_json = v;
-    } else if (arg == "--faults") {
-      if (!next(&v)) return fail("--faults needs a path");
-      std::string plan_error;
-      const auto plan = fault::load_plan(v, &plan_error);
-      if (!plan) return fail(plan_error);
-      s.faults = *plan;
-    } else if (arg == "--faults-json") {
-      if (!next(&v)) return fail("--faults-json needs JSON text");
-      std::string plan_error;
-      const auto plan = fault::parse_plan_text(v, &plan_error);
-      if (!plan) return fail("--faults-json: " + plan_error);
-      s.faults = *plan;
-    } else if (arg == "--sample-period") {
-      double p = 0;
-      if (!next(&v) || !parse_double(v, &p) || p <= 0) {
-        return fail("--sample-period needs a positive number of seconds");
-      }
-      s.sample_period_s = p;
-    } else if (arg == "--max-drift") {
-      double p = 0;
-      if (!next(&v) || !parse_double(v, &p) || p < 0) {
-        return fail("--max-drift needs a ppm value >= 0");
-      }
-      s.max_drift_ppm = p;
-    } else if (arg == "--initial-offset") {
-      double p = 0;
-      if (!next(&v) || !parse_double(v, &p) || p < 0) {
-        return fail("--initial-offset needs a us value >= 0");
-      }
-      s.initial_offset_us = p;
-    } else if (arg == "--attack-window") {
-      if (!next(&v)) return fail("--attack-window needs start,end");
-      const auto parts = split(v, ',');
-      double a = 0;
-      double b = 0;
-      if (parts.size() != 2 || !parse_double(parts[0], &a) ||
-          !parse_double(parts[1], &b) || b <= a) {
-        return fail("--attack-window needs start,end with end > start");
-      }
-      s.tsf_attack.start_s = a;
-      s.tsf_attack.end_s = b;
-      s.sstsp_attack.start_s = a;
-      s.sstsp_attack.end_s = b;
-    } else if (arg == "--skew") {
-      double r = 0;
-      if (!next(&v) || !parse_double(v, &r)) {
-        return fail("--skew needs a rate in us/s");
-      }
-      s.sstsp_attack.skew_rate_us_per_s = r;
-    } else if (arg == "--config") {
-      if (!next(&v)) return fail("--config needs a path");
-      if (config_loaded) return fail("--config may be given only once");
-      config_loaded = true;
-      std::string cfg_error;
-      const auto cfg_args = load_config_args(v, ConfigTool::kSim, &cfg_error);
-      if (!cfg_args) return fail(cfg_error);
-      argv.insert(argv.begin() + static_cast<std::ptrdiff_t>(i) + 1,
-                  cfg_args->begin(), cfg_args->end());
-    } else if (arg == "--csv") {
-      if (!next(&opts.csv_path)) return fail("--csv needs a path");
-    } else if (arg == "--chart") {
-      opts.ascii_chart = true;
-    } else if (arg == "--trace") {
-      opts.dump_trace = true;
-      s.trace_capacity = std::max<std::size_t>(s.trace_capacity, 1 << 18);
-    } else if (arg == "--trace-limit") {
-      long long n = 0;
-      if (!next(&v) || !parse_int(v, &n) || n < 1) {
-        return fail("--trace-limit needs a positive integer");
-      }
-      opts.trace_limit = static_cast<std::size_t>(n);
-      opts.dump_trace = true;
-      s.trace_capacity = std::max<std::size_t>(s.trace_capacity, 1 << 18);
-    } else if (arg == "--trace-kind") {
-      if (!next(&v)) return fail("--trace-kind needs an event kind");
-      const auto kind = trace::kind_from_string(v);
-      if (!kind) {
-        std::string valid;
-        for (int k = 0; k < static_cast<int>(trace::kEventKindCount); ++k) {
-          if (!valid.empty()) valid += ", ";
-          valid += trace::to_string(static_cast<trace::EventKind>(k));
-        }
-        return fail("unknown event kind: " + v + " (valid kinds: " + valid +
-                    ")");
-      }
-      opts.trace_kind = *kind;
-      opts.dump_trace = true;
-      s.trace_capacity = std::max<std::size_t>(s.trace_capacity, 1 << 18);
-    } else if (arg == "--json-out") {
-      if (!next(&opts.json_out_path)) return fail("--json-out needs a path");
-      // The sink streams at record time, so a modest ring suffices.
-      s.trace_capacity = std::max<std::size_t>(s.trace_capacity, 1 << 12);
-    } else if (arg == "--metrics-out") {
-      if (!next(&opts.metrics_out_path)) {
-        return fail("--metrics-out needs a path");
-      }
-    } else if (arg == "--profile") {
-      s.profile = true;
-    } else if (arg == "--monitor" || arg == "--monitor=strict") {
-      s.monitor = true;
-      if (arg == "--monitor=strict") opts.monitor_strict = true;
-    } else if (arg == "--telemetry-out") {
-      if (!next(&s.telemetry_out)) return fail("--telemetry-out needs a path");
-    } else if (arg == "--telemetry-interval") {
-      double p = 0;
-      if (!next(&v) || !parse_double(v, &p) || p <= 0) {
-        return fail("--telemetry-interval needs a positive number of seconds");
-      }
-      s.telemetry_interval_s = p;
-    } else if (arg == "--telemetry-per-node") {
-      long long n = 0;
-      if (!next(&v) || !parse_int(v, &n) || n < 0 || n > 1) {
-        return fail("--telemetry-per-node needs 0 or 1");
-      }
-      s.telemetry_per_node = static_cast<int>(n);
-    } else if (arg == "--flight-recorder") {
-      if (!next(&s.flight_recorder_out)) {
-        return fail("--flight-recorder needs a path");
-      }
-    } else if (arg == "--flight-capacity") {
-      long long n = 0;
-      if (!next(&v) || !parse_int(v, &n) || n < 16) {
-        return fail("--flight-capacity needs an integer >= 16");
-      }
-      s.flight_capacity = static_cast<std::size_t>(n);
-    } else if (arg == "--timeline-out") {
-      if (!next(&opts.timeline_out_path)) {
-        return fail("--timeline-out needs a path");
-      }
-      // Timeline events stream at record time; a modest ring suffices.
-      s.trace_capacity = std::max<std::size_t>(s.trace_capacity, 1 << 12);
-    } else if (arg == "--sampler") {
-      s.phase_sampler = true;
-    } else if (arg == "--sampler-interval") {
-      double p = 0;
-      if (!next(&v) || !parse_double(v, &p) || p <= 0) {
-        return fail("--sampler-interval needs a positive number of seconds");
-      }
-      s.phase_sampler_interval_s = p;
-      s.phase_sampler = true;
-    } else if (arg == "--prom-textfile") {
-      if (!next(&opts.prom_textfile_path)) {
-        return fail("--prom-textfile needs a path");
-      }
-    } else {
-      return fail("unknown option: " + arg);
-    }
+timeline:
+  --epoch UNIX_S        anchor the protocol timeline at this UNIX time so
+                        separately started processes share beacon-period
+                        boundaries; default: this process's start
+
+clock emulation:
+  --max-drift PPM       emulated drift bound (default 100)
+  --initial-offset US   emulated initial offset bound (default 112)
+  --drift PPM           explicit drift (disables emulation)
+  --offset US           explicit initial offset (disables emulation)
+
+protocol:
+  --m M, --l L, --guard US, --chain-length N
+                        as in sstsp_sim (chain defaults sized to
+                        epoch-elapsed + duration)
+  --reference           boot directly in the reference role
+  --discipline NAME     clock discipline: paper (default) | rls | holdover
+  --discipline-params JSON
+                        discipline overrides (same keys as the config
+                        "discipline" block; see sstsp_sim --help)
+
+faults:
+  --faults PATH         fault plan (JSON; same format as sstsp_sim) —
+                        packet directives apply to this node's received
+                        datagrams; clock faults hit the emulated oscillator
+  --faults-json TEXT    the same plan given inline as JSON text
+
+config:
+  --config PATH         load flags from a flat JSON object; flags after
+                        --config override the file
+
+output (same semantics as sstsp_sim):
+  --json-out PATH, --metrics-out PATH, --trace, --trace-limit N,
+  --trace-kind KIND, --profile, --monitor[=strict]
+
+telemetry (same schema as sstsp_sim; DESIGN.md §10):
+  --telemetry-out PATH  append this node's JSONL samples (source "node")
+  --telemetry-udp HOST:PORT
+                        also publish each sample as one UDP datagram (e.g.
+                        to a sstsp_swarm collector or `nc -lu`)
+  --telemetry-interval S  sampling interval in seconds (default 1)
+  --flight-recorder PATH  ring of recent events + samples, dumped on new
+                        audit record classes and SIGUSR1
+  --flight-capacity N   flight-recorder event ring size (default 512)
+
+performance observatory (DESIGN.md §11):
+  --timeline-out PATH   write the run as Chrome-trace-event JSON loadable
+                        in ui.perfetto.dev
+  --sampler             phase-sampling profiler into the metrics registry
+                        (dispatch-gated + SIGPROF statistical sampling)
+  --sampler-interval S  sampling interval in seconds (default 0.001;
+                        implies --sampler)
+  --prom-textfile PATH  dump the final metrics registry in Prometheus text
+                        exposition format
+  --prom-port P         serve a live /metrics endpoint on 127.0.0.1:P from
+                        the reactor (0 = ephemeral, printed at startup)
+  --help                this text
+)";
+    case ConfigTool::kSwarm:
+      return R"(usage: sstsp_swarm [options]
+
+deployment:
+  --nodes N             node count (default 5)
+  --duration S          run length in seconds (default 10)
+  --seed S              deployment seed: trust anchors, emulated clocks,
+                        loopback latency draws
+  --transport T         udp (real sockets on 127.0.0.1, wall-clock paced)
+                        or loopback (in-process hub, virtual time,
+                        bit-reproducible); default udp
+  --bind ADDR           UDP bind address (default 127.0.0.1)
+  --base-port P         UDP: node i binds P+i (default 0 = ephemeral)
+  --latency MIN,MAX     loopback one-way latency bounds in us (default
+                        35,45)
+  --drop P              loopback per-delivery drop probability (default 0)
+  --wire-latency US     expected one-way wire latency compensated on
+                        receive (default: loopback model midpoint, or 10
+                        for UDP)
+  --diverge-threshold US  monitor's Lemma-1 divergence bound (default: 50,
+                        or 150 for wall-paced UDP — see DESIGN.md "Live
+                        stack" on emulation noise)
+
+protocol:
+  --m M                 SSTSP aggressiveness (default 3)
+  --l L                 missed-beacon tolerance (default 1)
+  --guard US            base guard time in us
+  --chain-length N      µTESLA chain length (default sized to duration)
+  --max-drift PPM       emulated oscillator drift bound (default 100)
+  --initial-offset US   emulated initial offset bound (default 112)
+  --preestablished      node 0 boots as the reference
+  --sample-period S     max-offset sampling cadence (default 0.1)
+  --discipline NAME     clock discipline: paper (default) | rls | holdover
+  --discipline-params JSON
+                        discipline overrides (same keys as the config
+                        "discipline" block; see sstsp_sim --help)
+
+faults:
+  --faults PATH         load a fault plan (JSON; same format as sstsp_sim):
+                        packet faults apply per arriving datagram, node
+                        crash/pause stop/start nodes, clock faults step the
+                        emulated oscillators
+  --faults-json TEXT    the same plan given inline as JSON text
+
+config:
+  --config PATH         load flags from a flat JSON object ({"nodes": 5});
+                        flags after --config override the file
+
+output (same semantics as sstsp_sim):
+  --csv PATH, --chart, --trace, --trace-limit N, --trace-kind KIND,
+  --json-out PATH, --metrics-out PATH, --profile, --monitor[=strict]
+
+telemetry (same schema as sstsp_sim; DESIGN.md §10):
+  --telemetry-out PATH  aggregate JSONL stream: cluster samples
+                        (source "swarm") + per-node samples published by
+                        every node — over a datagram socket on the reactor
+                        in UDP mode, in-process on loopback
+  --telemetry-interval S  sampling interval in seconds (default 1)
+  --telemetry-per-node 0|1  per-node error arrays on cluster samples
+                        (default auto: on for <= 64 nodes)
+  --flight-recorder PATH  ring of recent events + samples, dumped on new
+                        audit record classes, unplanned node failures and
+                        SIGUSR1
+  --flight-capacity N   flight-recorder event ring size (default 512)
+  --watch               live status line on stderr, one refresh per
+                        telemetry interval (wall-paced runs)
+
+performance observatory (DESIGN.md §11):
+  --timeline-out PATH   write the run as Chrome-trace-event JSON loadable
+                        in ui.perfetto.dev (protocol events per node,
+                        beacon flow arrows, profiler spans with --profile)
+  --sampler             phase-sampling profiler into the metrics registry;
+                        wall-paced runs add a SIGPROF statistical sampler
+  --sampler-interval S  sampling interval in seconds (default 0.001;
+                        implies --sampler)
+  --prom-textfile PATH  dump the final metrics registry in Prometheus text
+                        exposition format
+  --prom-port P         serve a live /metrics endpoint on 127.0.0.1:P from
+                        the reactor (udp transport only; 0 = ephemeral,
+                        the chosen port is printed at startup)
+
+checks:
+  --expect-sync         exit 4 unless a reference holds the role and the
+                        final max pairwise adjusted-clock offset is under
+                        the guard threshold (CI smoke)
+  --help                this text
+)";
   }
-
-  if (!chain_set) {
-    // Size the chain to the run, with slack for the coarse/election phases.
-    s.sstsp.chain_length =
-        static_cast<std::size_t>(s.duration_s * 10.0) + 200;
-  }
-  if (s.cluster.enabled()) {
-    // The cluster layout fixes the node count; --nodes would silently
-    // disagree with the cluster-major id arithmetic otherwise.
-    s.num_nodes = s.cluster.total_nodes();
-  }
-  return opts;
+  return {};
 }
 
 }  // namespace sstsp::run

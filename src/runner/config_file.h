@@ -20,12 +20,14 @@
 //                "params": {"skew": 80}}
 //   }
 //
-// One schema, three tools: the same file is accepted by sstsp_sim,
-// sstsp_node and sstsp_swarm.  Every key the *union* of the tools
-// understands is legal everywhere; keys that do not apply to the invoking
-// tool (e.g. "protocol" under sstsp_swarm) are skipped, so a single config
-// describes one experiment across the sim and live runners.  A key no tool
-// knows is an error naming the key and its line in the file.
+// One schema, three tools: the schema is the flag table in runner/cli.cpp,
+// and the same file is accepted by sstsp_sim, sstsp_node and sstsp_swarm.
+// A key any tool's table row knows is legal everywhere; keys that do not
+// apply to the invoking tool (e.g. "protocol" under sstsp_swarm) are
+// skipped, so a single config describes one experiment across the sim and
+// live runners.  A key no tool knows is an error naming the key and its
+// line in the file.  README "Config files" lists which keys each tool
+// skips.
 //
 // The object is converted to the equivalent argv vector and spliced into
 // the command line at the position of the --config flag, so flags after
@@ -73,10 +75,9 @@ namespace sstsp::run {
                                           clk::DriftStress* stress,
                                           std::string* error);
 
-/// Which tool is consuming the config; selects the subset of the universal
-/// key schema that turns into flags (the rest is skipped, not rejected).
-/// kAny accepts every known key — used by tests and the legacy overloads.
-enum class ConfigTool { kAny, kSim, kNode, kSwarm };
+/// Which tool is consuming the config; selects the keys that turn into
+/// flags (the other tools' keys are skipped, not rejected).
+enum class ConfigTool { kSim, kNode, kSwarm };
 
 /// Converts a parsed config object into argv-style flags for `tool`.
 /// nullopt + *error (naming the offending key and line) on malformed
@@ -87,15 +88,5 @@ enum class ConfigTool { kAny, kSim, kNode, kSwarm };
 /// Reads + parses `path` and converts it (see config_to_args).
 [[nodiscard]] std::optional<std::vector<std::string>> load_config_args(
     const std::string& path, ConfigTool tool, std::string* error);
-
-/// Legacy spellings: ConfigTool::kAny.
-[[nodiscard]] inline std::optional<std::vector<std::string>> config_to_args(
-    const obs::json::Value& root, std::string* error) {
-  return config_to_args(root, ConfigTool::kAny, error);
-}
-[[nodiscard]] inline std::optional<std::vector<std::string>> load_config_args(
-    const std::string& path, std::string* error) {
-  return load_config_args(path, ConfigTool::kAny, error);
-}
 
 }  // namespace sstsp::run

@@ -9,7 +9,7 @@
 // (the PR-2 audit/trace tooling reads all three the same way).
 //
 // Usage:
-//   run::RunOutput output(run::OutputOptions::from_cli(*opts));
+//   run::RunOutput output(opts->output);
 //   if (!output.begin(net.trace(), &error)) { ... return 1; }
 //   ... run ...
 //   return output.finish(std::cout, std::cerr, scenario, result,
@@ -22,7 +22,6 @@
 #include <string>
 
 #include "obs/timeline.h"
-#include "runner/cli.h"
 #include "runner/experiment.h"
 #include "runner/scenario.h"
 #include "trace/event_trace.h"
@@ -40,8 +39,6 @@ struct OutputOptions {
   std::size_t trace_limit = 40;
   std::optional<trace::EventKind> trace_kind;
   bool monitor_strict = false;
-
-  [[nodiscard]] static OutputOptions from_cli(const CliOptions& opts);
 };
 
 /// Prints the result block (latency/steady/beacons/rejections, wire stats

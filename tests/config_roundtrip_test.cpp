@@ -55,6 +55,14 @@ TEST(ConfigRoundTrip, UniversalConfigIsAcceptedByAllThreeTools) {
     EXPECT_TRUE(has_flag(args, "--nodes")) << static_cast<int>(tool);
     EXPECT_TRUE(has_flag(args, "--monitor=strict")) << static_cast<int>(tool);
     EXPECT_TRUE(has_flag(args, "--faults-json")) << static_cast<int>(tool);
+    // ...and the tool's own parser takes every flag the config produced.
+    std::string error;
+    const auto cli = parse_cli(args, tool, &error);
+    ASSERT_TRUE(cli.has_value()) << static_cast<int>(tool) << ": " << error;
+    EXPECT_EQ(cli->scenario.num_nodes, 5);
+    EXPECT_DOUBLE_EQ(cli->scenario.duration_s, 45.0);
+    EXPECT_TRUE(cli->output.monitor_strict);
+    EXPECT_EQ(cli->scenario.faults.packet.size(), 1u);
   }
 }
 
@@ -139,13 +147,13 @@ TEST(ConfigRoundTrip, SimArgsParseBackIntoScenarioWithPlan) {
   // and bit-equal (via the serializer fixpoint) to the config's object.
   const auto args = args_for(kUniversalConfig, ConfigTool::kSim);
   std::string error;
-  const auto cli = parse_cli(args, &error);
+  const auto cli = parse_cli(args, ConfigTool::kSim, &error);
   ASSERT_TRUE(cli.has_value()) << error;
   EXPECT_EQ(cli->scenario.num_nodes, 5);
   EXPECT_DOUBLE_EQ(cli->scenario.duration_s, 45.0);
   EXPECT_EQ(cli->scenario.seed, 1u);
   EXPECT_TRUE(cli->scenario.monitor);
-  EXPECT_TRUE(cli->monitor_strict);
+  EXPECT_TRUE(cli->output.monitor_strict);
   ASSERT_FALSE(cli->scenario.faults.empty());
   ASSERT_EQ(cli->scenario.faults.packet.size(), 1u);
   EXPECT_DOUBLE_EQ(cli->scenario.faults.packet[0].probability, 0.1);
@@ -174,7 +182,7 @@ TEST(ConfigRoundTrip, DisciplineObjectRoundTripsIntoScenario) {
       ConfigTool::kSim);
   ASSERT_TRUE(has_flag(args, "--discipline-params"));
   std::string error;
-  const auto cli = parse_cli(args, &error);
+  const auto cli = parse_cli(args, ConfigTool::kSim, &error);
   ASSERT_TRUE(cli.has_value()) << error;
   EXPECT_EQ(cli->scenario.sstsp.discipline.name, "rls");
   EXPECT_EQ(cli->scenario.sstsp.discipline.window_bps, 24);
@@ -200,7 +208,7 @@ TEST(ConfigRoundTrip, ClockModelRoundTripsIntoScenario) {
                           "ramp-ppm-per-s": 1.5, "ramp-start": 10}})",
       ConfigTool::kSim);
   std::string error;
-  const auto cli = parse_cli(args, &error);
+  const auto cli = parse_cli(args, ConfigTool::kSim, &error);
   ASSERT_TRUE(cli.has_value()) << error;
   EXPECT_EQ(cli->scenario.clock_stress.kind, clk::DriftStressKind::kTempRamp);
   EXPECT_DOUBLE_EQ(cli->scenario.clock_stress.period_s, 0.5);

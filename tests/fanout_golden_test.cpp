@@ -43,7 +43,7 @@ Scenario faulted_scenario() {
   const auto opts =
       parse_cli({"--nodes", "12", "--duration", "20", "--seed", "11",
                  "--faults-json", kFaultPlan, "--json-out", "/dev/null"},
-                &error);
+                ConfigTool::kSim, &error);
   EXPECT_TRUE(opts.has_value()) << error;
   return opts->scenario;
 }

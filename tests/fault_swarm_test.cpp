@@ -15,11 +15,11 @@ namespace {
 
 SwarmConfig loopback_config(std::uint64_t seed, double duration_s) {
   SwarmConfig config;
-  config.transport = TransportKind::kLoopback;
-  config.nodes = 5;
-  config.duration_s = duration_s;
-  config.seed = seed;
-  config.monitor = true;
+  config.live.transport = TransportKind::kLoopback;
+  config.scenario.num_nodes = 5;
+  config.scenario.duration_s = duration_s;
+  config.scenario.seed = seed;
+  config.scenario.monitor = true;
   return config;
 }
 
@@ -44,7 +44,7 @@ run::RunResult run_swarm(const SwarmConfig& config, Swarm** out = nullptr,
 
 TEST(FaultSwarm, PartitionHealResyncsAuditClean) {
   SwarmConfig config = loopback_config(1, 30.0);
-  config.faults = plan_from(R"({
+  config.scenario.faults = plan_from(R"({
     "partitions": [{"start": 10, "end": 18, "group_a": [3, 4]}]
   })");
   std::unique_ptr<Swarm> swarm;
@@ -69,7 +69,7 @@ TEST(FaultSwarm, AcceptancePlanReelectsWithinBoundStrictClean) {
   // The exact plan examples/faults/ref_crash_loss.json ships — identical
   // JSON runs through sstsp_sim (see fault_injection_test) and this swarm.
   SwarmConfig config = loopback_config(1, 45.0);
-  config.faults = plan_from(R"({
+  config.scenario.faults = plan_from(R"({
     "seed": 1,
     "packet": [{"kind": "drop", "probability": 0.1}],
     "node_faults": [{"kind": "crash", "node": "reference", "at": 30}]
@@ -89,7 +89,7 @@ TEST(FaultSwarm, AcceptancePlanReelectsWithinBoundStrictClean) {
   EXPECT_EQ(rec.fault, "reference-crash");
   EXPECT_TRUE(rec.recovered);
   // Paper bound: detection after l+1 silent BPs, plus contention/confirm.
-  EXPECT_LE(rec.reelection_bps, (config.sstsp.l + 1) + 4.0);
+  EXPECT_LE(rec.reelection_bps, (config.scenario.sstsp.l + 1) + 4.0);
   EXPECT_GE(result.recovery->post_fault_steady_max_us, 0.0);
   EXPECT_LT(result.recovery->post_fault_steady_max_us, 25.0);
   EXPECT_GT(result.recovery->packet_faults.drops, 0u);
@@ -101,7 +101,7 @@ TEST(FaultSwarm, DeafNodeWithoutPlannedFaultIsSurfacedAsFailure) {
   // failure mode (nothing in the plan says the node should be down), so
   // collect() must flag it instead of reporting a clean run.
   SwarmConfig config = loopback_config(1, 10.0);
-  config.faults = plan_from(
+  config.scenario.faults = plan_from(
       R"({"packet": [{"kind": "drop", "probability": 1.0, "to": 4}]})");
   std::unique_ptr<Swarm> swarm;
   const run::RunResult result = run_swarm(config, nullptr, &swarm);
@@ -121,7 +121,7 @@ TEST(FaultSwarm, DeafNodeWithoutPlannedFaultIsSurfacedAsFailure) {
 
 TEST(FaultSwarm, PlannedCrashIsNotFlaggedAsFailure) {
   SwarmConfig config = loopback_config(1, 12.0);
-  config.faults = plan_from(
+  config.scenario.faults = plan_from(
       R"({"node_faults": [{"kind": "crash", "node": 2, "at": 6}]})");
   std::unique_ptr<Swarm> swarm;
   const run::RunResult result = run_swarm(config, nullptr, &swarm);

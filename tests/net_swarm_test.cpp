@@ -16,12 +16,12 @@ namespace {
 
 SwarmConfig loopback_config(std::uint64_t seed) {
   SwarmConfig config;
-  config.transport = TransportKind::kLoopback;
-  config.nodes = 5;
-  config.duration_s = 8.0;
-  config.seed = seed;
-  config.monitor = true;
-  config.trace_capacity = 1 << 14;
+  config.live.transport = TransportKind::kLoopback;
+  config.scenario.num_nodes = 5;
+  config.scenario.duration_s = 8.0;
+  config.scenario.seed = seed;
+  config.scenario.monitor = true;
+  config.scenario.trace_capacity = 1 << 14;
   return config;
 }
 
@@ -104,11 +104,11 @@ TEST(NetSwarm, DifferentSeedsDiverge) {
 TEST(NetSwarm, RejectsBadConfig) {
   std::string error;
   SwarmConfig config = loopback_config(1);
-  config.nodes = 0;
+  config.scenario.num_nodes = 0;
   EXPECT_EQ(Swarm::create(config, &error), nullptr);
   EXPECT_FALSE(error.empty());
   config = loopback_config(1);
-  config.duration_s = 0.0;
+  config.scenario.duration_s = 0.0;
   EXPECT_EQ(Swarm::create(config, &error), nullptr);
 }
 

@@ -202,14 +202,14 @@ TEST(FlightRecorder, SimAuditRecordTriggersDumpWithTriggerAttached) {
 TEST(FlightRecorder, SwarmAuditRecordTriggersDumpWithTriggerAttached) {
   const std::string path = temp_path("flight_swarm.jsonl");
   net::SwarmConfig config;
-  config.transport = net::TransportKind::kLoopback;
-  config.nodes = 5;
-  config.duration_s = 15.0;
-  config.seed = 7;
-  config.monitor = true;
-  config.faults = delay_storm(8.0, 10.0);
-  config.flight_recorder_out = path;
-  config.flight_capacity = 64;
+  config.live.transport = net::TransportKind::kLoopback;
+  config.scenario.num_nodes = 5;
+  config.scenario.duration_s = 15.0;
+  config.scenario.seed = 7;
+  config.scenario.monitor = true;
+  config.scenario.faults = delay_storm(8.0, 10.0);
+  config.scenario.flight_recorder_out = path;
+  config.scenario.flight_capacity = 64;
 
   std::string error;
   auto swarm = net::Swarm::create(config, &error);

@@ -105,7 +105,7 @@ Outputs run_serial_storm() {
       {"--nodes", "12", "--duration", "40", "--seed", "7", "--monitor",
        "--faults-json", kDelayStormPlan, "--telemetry-out", tele,
        "--flight-recorder", flight},
-      &error);
+      ConfigTool::kSim, &error);
   EXPECT_TRUE(opts.has_value()) << error;
   const Scenario& s = opts->scenario;
   std::ostringstream summary;
@@ -120,23 +120,23 @@ Outputs run_serial_storm() {
 
 net::SwarmConfig crash_swarm_config(double duration_s) {
   net::SwarmConfig config;
-  config.transport = net::TransportKind::kLoopback;
-  config.nodes = 5;
-  config.duration_s = duration_s;
-  config.seed = 7;
-  config.monitor = true;
+  config.live.transport = net::TransportKind::kLoopback;
+  config.scenario.num_nodes = 5;
+  config.scenario.duration_s = duration_s;
+  config.scenario.seed = 7;
+  config.scenario.monitor = true;
   std::string error;
   const auto plan = fault::parse_plan_text(kRefCrashLossPlan, &error);
   EXPECT_TRUE(plan.has_value()) << error;
-  config.faults = plan.value_or(fault::FaultPlan{});
+  config.scenario.faults = plan.value_or(fault::FaultPlan{});
   return config;
 }
 
 Outputs run_swarm_crash() {
   net::SwarmConfig config = crash_swarm_config(40.0);
-  config.telemetry_out = temp_path("swarm.tele.jsonl");
-  config.flight_recorder_out = temp_path("swarm.flight.jsonl");
-  config.telemetry_per_node = 0;
+  config.scenario.telemetry_out = temp_path("swarm.tele.jsonl");
+  config.scenario.flight_recorder_out = temp_path("swarm.flight.jsonl");
+  config.scenario.telemetry_per_node = 0;
   volatile std::sig_atomic_t dump_requested = 0;
   {
     std::string error;
@@ -151,8 +151,8 @@ Outputs run_swarm_crash() {
     swarm->run();
     (void)swarm->collect();
   }  // closes both sinks
-  return Outputs{read_file(config.telemetry_out),
-                 read_file(config.flight_recorder_out), {}};
+  return Outputs{read_file(config.scenario.telemetry_out),
+                 read_file(config.scenario.flight_recorder_out), {}};
 }
 
 constexpr std::size_t kGoldenSerialTelemetryLines = 40;
@@ -230,13 +230,13 @@ TEST(ObserverGolden, SimAndSwarmPerNodeRowsListTheSameNodesAfterACrash) {
       {"--nodes", "5", "--duration", "40", "--seed", "7", "--monitor",
        "--faults-json", kRefCrashLossPlan, "--telemetry-out", sim_tele,
        "--telemetry-per-node", "1"},
-      &error);
+      ConfigTool::kSim, &error);
   ASSERT_TRUE(opts.has_value()) << error;
   (void)run_scenario(opts->scenario);
 
   net::SwarmConfig config = crash_swarm_config(40.0);
-  config.telemetry_out = swarm_tele;
-  config.telemetry_per_node = 1;
+  config.scenario.telemetry_out = swarm_tele;
+  config.scenario.telemetry_per_node = 1;
   {
     auto swarm = net::Swarm::create(config, &error);
     ASSERT_NE(swarm, nullptr) << error;

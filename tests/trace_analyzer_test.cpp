@@ -218,20 +218,20 @@ TEST(TraceAnalyzer, PartitionedSwarmShowsSpikeAndReconvergence) {
   const std::string events_path = temp_path("part_events.jsonl");
 
   net::SwarmConfig config;
-  config.transport = net::TransportKind::kLoopback;
-  config.nodes = 5;
-  config.duration_s = 40.0;
-  config.seed = 7;
-  config.monitor = true;
-  config.trace_capacity = 1 << 14;
-  config.telemetry_out = tele_path;
-  config.telemetry_interval_s = 1.0;
-  config.telemetry_per_node = 1;
+  config.live.transport = net::TransportKind::kLoopback;
+  config.scenario.num_nodes = 5;
+  config.scenario.duration_s = 40.0;
+  config.scenario.seed = 7;
+  config.scenario.monitor = true;
+  config.scenario.trace_capacity = 1 << 14;
+  config.scenario.telemetry_out = tele_path;
+  config.scenario.telemetry_interval_s = 1.0;
+  config.scenario.telemetry_per_node = 1;
   fault::Partition cut;
   cut.start_s = 15.0;
   cut.end_s = 25.0;
   cut.group_a = {3, 4};
-  config.faults.partitions.push_back(cut);
+  config.scenario.faults.partitions.push_back(cut);
 
   std::string error;
   auto swarm = net::Swarm::create(config, &error);

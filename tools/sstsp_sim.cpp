@@ -32,13 +32,14 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> args(argv + 1, argv + argc);
   std::string error;
-  const auto opts = run::parse_cli(args, &error);
+  const auto opts = run::parse_cli(args, run::ConfigTool::kSim, &error);
   if (!opts) {
-    std::cerr << "error: " << error << "\n\n" << run::cli_usage();
+    std::cerr << "error: " << error << "\n\n"
+              << run::cli_usage(run::ConfigTool::kSim);
     return 2;
   }
   if (opts->help) {
-    std::cout << run::cli_usage();
+    std::cout << run::cli_usage(run::ConfigTool::kSim);
     return 0;
   }
 
@@ -55,13 +56,13 @@ int main(int argc, char** argv) {
       // Sharded parallel kernel.  The JSONL event stream writes at record
       // time and would interleave nondeterministically across shards, so
       // it stays a single-kernel feature; traces are merged post-run.
-      if (!opts->json_out_path.empty()) {
+      if (!opts->output.json_out_path.empty()) {
         std::cerr << "error: --json-out is not supported with --threads; "
                      "use --trace, --metrics-out or --csv\n";
         return 2;
       }
       run::ParallelNetwork net(s);
-      run::RunOutput output(run::OutputOptions::from_cli(*opts));
+      run::RunOutput output(opts->output);
       if (!output.begin(nullptr, &error)) {
         std::cerr << "error: " << error << '\n';
         return 1;
@@ -82,7 +83,7 @@ int main(int argc, char** argv) {
       net.set_dump_request_flag(&g_dump_requested);
     }
 
-    run::RunOutput output(run::OutputOptions::from_cli(*opts));
+    run::RunOutput output(opts->output);
     if (!output.begin(net.trace(), &error)) {
       std::cerr << "error: " << error << '\n';
       return 1;
