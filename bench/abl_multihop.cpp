@@ -7,13 +7,23 @@
 // grows roughly linearly in the gateway depth (independent per-hop
 // translation noise, bound hop_bound_us x depth), while each cluster's
 // internal sync stays at the single-hop level.
+#include <algorithm>
+#include <iterator>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
+#include "runner/sweep.h"
 
 namespace {
 
 using namespace sstsp;
+
+constexpr int kHops[] = {1, 2, 4, 6};
+/// Seed 2006 is the reported run; the rest only feed the worst-case column.
+constexpr std::uint64_t kSeeds[] = {2006, 1, 2, 3, 4};
+constexpr std::size_t kSeedCount = std::size(kSeeds);
 
 run::Scenario chain_scenario(int hops, std::uint64_t seed) {
   run::Scenario s;
@@ -29,6 +39,10 @@ run::Scenario chain_scenario(int hops, std::uint64_t seed) {
   return s;
 }
 
+std::string fmt_opt(const std::optional<double>& v) {
+  return v ? metrics::fmt(*v, 2) : std::string("n/a");
+}
+
 }  // namespace
 
 int main() {
@@ -39,37 +53,53 @@ int main() {
                 "per-hop error accumulation; each cluster's internal sync "
                 "stays at the single-hop level");
 
-  bench::JsonReport report("abl_multihop");
-  metrics::TextTable table({"gw hops", "inter-cluster max (us)", "bound (us)",
-                            "steady max (us)", "attach", "audit"});
-  // Depth 6 is the validated envelope of the linear hop-bound model: each
-  // gateway announces a fit of its parent's already-extrapolated signal, so
-  // the per-hop noise compounds and an 8-hop chain overshoots the linear
-  // extrapolation of the bound roughly 2x (DESIGN.md §13).
-  for (const int hops : {1, 2, 4, 6}) {
-    const run::Scenario s = chain_scenario(hops, 2006);
-    const run::RunResult r = run::run_scenario(s);
-    report.add_run("hops" + std::to_string(hops), s, r);
+  std::vector<run::Scenario> scenarios;
+  for (const int hops : kHops) {
+    for (const std::uint64_t seed : kSeeds) {
+      scenarios.push_back(chain_scenario(hops, seed));
+    }
+  }
+  const std::vector<run::RunResult> results = run::run_sweep(scenarios);
 
-    const double bound = s.cluster.cross_cluster_bound_us();
+  bench::JsonReport report("abl_multihop");
+  metrics::TextTable table({"gw hops", "inter-cluster max (us)",
+                            "worst of 5 seeds (us)", "bound (us)",
+                            "steady max (us)", "attach", "audit"});
+  // Rows stop at depth 6: each gateway announces a fit of its parent's
+  // already-extrapolated signal, so the per-hop noise compounds and an
+  // 8-hop chain overshoots the linear extrapolation of the bound roughly 2x
+  // (DESIGN.md §13).  The worst-of-seeds column shows where the linear
+  // model already fails at shallower depths.
+  for (std::size_t h = 0; h < std::size(kHops); ++h) {
+    const run::Scenario& s = scenarios[h * kSeedCount];
+    const run::RunResult& r = results[h * kSeedCount];
+    report.add_run("hops" + std::to_string(kHops[h]), s, r);
+
+    std::optional<double> worst;
+    for (std::size_t k = 0; k < kSeedCount; ++k) {
+      const auto& v = results[h * kSeedCount + k].cluster_steady_max_us;
+      if (v) worst = std::max(worst.value_or(*v), *v);
+    }
+    if (worst) {
+      report.add_values("hops" + std::to_string(kHops[h]) + "-worst",
+                        {{"inter_cluster_max_us", *worst}});
+    }
+
     const double attach = r.attach_fraction.empty()
                               ? 0.0
                               : r.attach_fraction.points().back().value_us;
     const bool audit_ok = r.audit && r.audit->critical_count() == 0;
-    table.add_row(
-        {std::to_string(hops),
-         r.cluster_steady_max_us ? metrics::fmt(*r.cluster_steady_max_us, 2)
-                                 : std::string("n/a"),
-         metrics::fmt(bound, 0),
-         r.steady_max_us ? metrics::fmt(*r.steady_max_us, 2)
-                         : std::string("n/a"),
-         metrics::fmt(attach, 2),
-         audit_ok ? "clean" : "VIOLATIONS"});
+    table.add_row({std::to_string(kHops[h]), fmt_opt(r.cluster_steady_max_us),
+                   fmt_opt(worst),
+                   metrics::fmt(s.cluster.cross_cluster_bound_us(), 0),
+                   fmt_opt(r.steady_max_us), metrics::fmt(attach, 2),
+                   audit_ok ? "clean" : "VIOLATIONS"});
   }
   table.print(std::cout);
   std::cout << "(inter-cluster max = steady max-min spread of per-cluster "
-               "mean global readings;\n bound = hop_bound_us x gateway "
-               "depth, the cross-cluster Lemma-1 analogue)\n";
+               "mean global readings, seed 2006;\n worst = the largest "
+               "over seeds 2006, 1, 2, 3, 4; bound = hop_bound_us x gateway "
+               "depth,\n the cross-cluster Lemma-1 analogue)\n";
   report.write();
   return 0;
 }

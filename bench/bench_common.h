@@ -84,8 +84,8 @@ inline void summarize(const run::RunResult& r, double duration_s) {
 ///   {"bench":"fig2","runs":[{"label":...,"run":{...}},
 ///                           {"label":...,"values":{...}}]}
 ///
-/// Benches that don't go through run_scenario (abl_multihop's line-topology
-/// driver) use add_values() to report their custom quantities instead.
+/// Quantities that are not one run's result (abl_overhead's rows,
+/// abl_multihop's worst case over seeds) go through add_values().
 class JsonReport {
  public:
   explicit JsonReport(const std::string& id)

@@ -131,6 +131,13 @@ void ClusterSstsp::handle_announce(std::int64_t j) {
 
 std::optional<double> ClusterSstsp::uplink_global_us(sim::SimTime real) const {
   if (!uplink_ || !uplink_->is_synchronized()) return std::nullopt;
+  // Stale time is never relayed: a passive uplink stays "synchronized"
+  // forever once its parent cluster falls silent, so the path counts only
+  // while the uplink accepted a parent beacon within the staleness horizon.
+  if (station_.hw().read_us(real) - uplink_->last_sync_hw_us() >
+      tau_stale_us_) {
+    return std::nullopt;
+  }
   const double up = uplink_->adjusted().read_us(real);
   if (!parent_tau_) return up;  // parent IS the root: tau = 0
   if (!parent_tau_->fresh(up)) return std::nullopt;

@@ -19,8 +19,11 @@
 //
 // The node's network time is its member clock plus the extrapolated home
 // tau (root members: member clock alone; gateways prefer the uplink path —
-// one hop fresher).  A node whose tau source has gone stale (gateway crash,
-// partition) reports is_synchronized() == false: it is *detached*, drops
+// one hop fresher).  Stale time is never relayed: the uplink path counts
+// only while the uplink accepted a parent beacon within tau_stale_bps BPs,
+// so a gateway whose parent cluster fell silent stops announcing.  A node
+// whose tau source has gone stale (gateway crash, partition, dead parent
+// cluster) reports is_synchronized() == false: it is *detached*, drops
 // out of the spread metrics, and re-attaches automatically once
 // announcements resume — the latency the RecoveryTracker measures.
 #pragma once

@@ -95,6 +95,10 @@ class Sstsp : public proto::SyncProtocol {
   }
   [[nodiscard]] mac::NodeId current_reference() const { return current_ref_; }
   [[nodiscard]] const SstspConfig& config() const { return cfg_; }
+  /// Hardware-clock reading at the last synchronization evidence (an
+  /// applied adjustment, a coarse step, an own reference emission, or
+  /// start()).
+  [[nodiscard]] double last_sync_hw_us() const { return last_sync_hw_us_; }
 
   /// Recovery extension: is this sender currently locally blacklisted?
   [[nodiscard]] bool is_blacklisted(mac::NodeId sender) const;

@@ -347,10 +347,6 @@ NodeId ShardedWorld::next_global_id(int shard) const {
   return m[next];
 }
 
-sim::SimTime ShardedWorld::lookahead() const {
-  return std::min(phy_.cca_time, phy_.rx_latency_min);
-}
-
 void ShardedWorld::announce_targets(double x_m, std::vector<int>& out) const {
   out.clear();
   if (!spatial_) {

@@ -199,10 +199,6 @@ class ShardedWorld {
   }
   [[nodiscard]] ShardChannel& channel(int shard) { return *shards_[shard]; }
 
-  /// Conservative lookahead this world's physics supports (min of CCA
-  /// latency and minimum receive latency); pass to sim::ShardExecutor.
-  [[nodiscard]] sim::SimTime lookahead() const;
-
   // Barrier protocol, in per-window order (wire into ShardExecutor::run).
   void exchange(sim::SimTime window_end);
   void settle(int shard, sim::SimTime window_end);

@@ -1,8 +1,9 @@
-// Multi-hop partition behaviour: when a relay chain is physically severed,
-// each side must converge internally (a partitioned network cannot — and
-// must not pretend to — share one timeline).  The cluster section below
-// covers the converse boundary: two timelines in ONE cluster (duelling
-// boot references) must merge via RULE R without the duel leaking across a
+// Multi-hop partition behaviour: when a cluster chain is physically
+// severed at a gateway, the side still bridged to the root stays attached
+// and tight while everything below the cut detaches (a partitioned network
+// cannot — and must not pretend to — share one timeline).  The duel section
+// covers the converse boundary: two timelines in ONE cluster (duelling boot
+// references) must merge via RULE R without the duel leaking across a
 // gateway boundary.
 #include <gtest/gtest.h>
 
@@ -13,108 +14,64 @@
 #include "clock/drift_model.h"
 #include "cluster/sstsp_cluster.h"
 #include "crypto/hash_chain.h"
-#include "multihop/sstsp_mh.h"
+#include "runner/network.h"
 #include "sim/simulator.h"
-
-namespace sstsp::multihop {
-namespace {
-
-struct PartitionNet {
-  sim::Simulator sim{61};
-  mac::PhyParams phy;
-  std::unique_ptr<mac::Channel> channel;
-  core::KeyDirectory directory;
-  MultiHopConfig cfg;
-  std::vector<std::unique_ptr<proto::Station>> stations;
-  std::vector<SstspMh*> protos;
-  bool armed = false;
-
-  PartitionNet() {
-    phy.packet_error_rate = 0.0;
-    phy.radio_range_m = 50.0;
-    cfg.base.chain_length = 2600;
-    cfg.takeover_patience_bps = 20;
-    channel = std::make_unique<mac::Channel>(sim, phy);
-    sim::Rng rng(61);
-    for (int i = 0; i < 7; ++i) {
-      const auto id = static_cast<mac::NodeId>(i);
-      auto st = std::make_unique<proto::Station>(
-          sim, *channel, id,
-          clk::HardwareClock(clk::DriftModel::uniform(rng),
-                             rng.uniform(-40.0, 40.0)),
-          mac::Position{i * 40.0, 0.0});
-      directory.register_node(
-          id, crypto::ChainParams{crypto::derive_seed(61, id),
-                                  cfg.base.chain_length});
-      auto proto = std::make_unique<SstspMh>(*st, cfg, directory,
-                                             SstspMh::Options{i == 0});
-      protos.push_back(proto.get());
-      st->set_protocol(std::move(proto));
-      stations.push_back(std::move(st));
-    }
-  }
-
-  void run(double until_s) {
-    if (!armed) {
-      armed = true;
-      for (auto& st : stations) st->power_on();
-    }
-    sim.run_until(sim::SimTime::from_sec_double(until_s));
-  }
-
-  double segment_spread(int from, int to) const {
-    double lo = 1e18, hi = -1e18;
-    for (int i = from; i <= to; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      if (!stations[idx]->awake() || !protos[idx]->is_synchronized()) {
-        continue;
-      }
-      const double v = protos[idx]->network_time_us(sim.now());
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-    return (hi >= lo) ? hi - lo : 0.0;
-  }
-};
-
-TEST(MultiHopPartition, SeveredLineFormsTwoCoherentIslands) {
-  PartitionNet net;
-  net.run(15.0);
-  // The whole line is one tree first.
-  for (int i = 1; i < 7; ++i) {
-    ASSERT_TRUE(net.protos[static_cast<std::size_t>(i)]->is_synchronized())
-        << i;
-  }
-
-  // Sever the middle: node 3 dies, nodes 4-6 are physically unreachable
-  // from the reference side.
-  net.stations[3]->power_off();
-
-  // The downstream segment free-runs through its takeover patience, then
-  // node 4 (lowest surviving level there) seizes the reference role.
-  net.run(15.0 + 0.1 * (20 + 2 * 4) + 12.0);
-  EXPECT_TRUE(net.protos[0]->is_reference());   // left island root
-  EXPECT_TRUE(net.protos[4]->is_reference());   // right island root
-  EXPECT_FALSE(net.protos[5]->is_reference());
-
-  // Both islands are internally tight.
-  EXPECT_LT(net.segment_spread(0, 2), 50.0);
-  EXPECT_LT(net.segment_spread(4, 6), 100.0);
-
-  // Healing: node 3 returns; the right island's root should eventually
-  // hear level-2 beacons from node 2's relay... but as a self-made
-  // reference it ignores uplinks by design (documented limitation:
-  // partition *merge* needs a root-ranking rule, future work in DESIGN.md).
-  // What we do require is that the left island is unaffected throughout.
-  net.run(60.0);
-  EXPECT_LT(net.segment_spread(0, 2), 50.0);
-}
-
-}  // namespace
-}  // namespace sstsp::multihop
 
 namespace sstsp::cluster {
 namespace {
+
+const ClusterSstsp& proto_of(run::Network& net, std::size_t i) {
+  return static_cast<const ClusterSstsp&>(net.station(i).protocol());
+}
+
+TEST(MultiHopPartition, SeveredLineFormsTwoCoherentIslands) {
+  run::Scenario s;
+  s.cluster.clusters = 5;
+  s.cluster.nodes_per_cluster = 4;
+  s.num_nodes = s.cluster.total_nodes();
+  s.duration_s = 30.0;
+  s.seed = 61;
+  s.phy.radio_range_m = 50.0;
+  s.phy.packet_error_rate = 0.0;
+  s.preestablished_reference = true;
+  s.sstsp.chain_length = 600;
+  const int k = s.cluster.nodes_per_cluster;
+
+  run::Network net(s);
+  net.arm();
+  net.run_until(15.0);
+  // The whole chain is one timescale first.
+  for (std::size_t i = 0; i < net.station_count(); ++i) {
+    ASSERT_TRUE(proto_of(net, i).is_synchronized()) << i;
+  }
+
+  // Sever the chain: cluster 2's gateway dies, so clusters 2-4 lose their
+  // only translation path to the root.
+  const auto cut = static_cast<std::size_t>(2 * k);
+  ASSERT_TRUE(proto_of(net, cut).gateway());
+  net.station(cut).power_off();
+
+  // Detachment cascades down the chain one staleness horizon per gateway
+  // hop; past the deepest one, check both islands every 0.5 s.
+  const double settle_s = 15.0 + (s.cluster.clusters - 1) *
+                                     s.cluster.tau_stale_bps *
+                                     s.phy.beacon_period.to_sec();
+  for (double t = settle_s; t <= s.duration_s; t += 0.5) {
+    net.run_until(t);
+    for (std::size_t i = 0; i < 2 * static_cast<std::size_t>(k); ++i) {
+      ASSERT_TRUE(proto_of(net, i).is_synchronized()) << i << " at " << t;
+    }
+    for (std::size_t i = cut + 1; i < net.station_count(); ++i) {
+      ASSERT_FALSE(proto_of(net, i).attached()) << i << " at " << t;
+    }
+  }
+  // Detached clusters leave the spread metric, so from here on it is the
+  // upstream island's, and it keeps the network's cross-cluster bound.
+  const auto island_us =
+      net.cluster_spread_series().max_in(settle_s, s.duration_s);
+  ASSERT_TRUE(island_us.has_value());
+  EXPECT_LT(*island_us, s.cluster.cross_cluster_bound_us());
+}
 
 // Two clusters on the chain layout; cluster 1 boots with TWO members
 // holding the reference role — two timelines inside one broadcast domain.

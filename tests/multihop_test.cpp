@@ -1,214 +1,210 @@
-// Multi-hop SSTSP (src/multihop/): line and cluster topologies on the
-// range-limited channel.
+// Multi-hop SSTSP on the cluster hierarchy (src/cluster/): chains of
+// broadcast-domain clusters built through run::Network, bridged by gateway
+// tau announcements over a range-limited radio.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
-#include "clock/drift_model.h"
-#include "crypto/hash_chain.h"
-#include "multihop/sstsp_mh.h"
-#include "sim/simulator.h"
+#include "cluster/sstsp_cluster.h"
+#include "runner/experiment.h"
+#include "runner/network.h"
 
-namespace sstsp::multihop {
+namespace sstsp::cluster {
 namespace {
 
-using namespace sstsp::sim::literals;
+/// A chain of `clusters` four-node broadcast domains, root reference
+/// preestablished, loss-free 50 m radio (each gateway hears only its two
+/// adjacent clusters).
+run::Scenario chain(int clusters, double duration_s, std::uint64_t seed) {
+  run::Scenario s;
+  s.cluster.clusters = clusters;
+  s.cluster.nodes_per_cluster = 4;
+  s.num_nodes = s.cluster.total_nodes();
+  s.duration_s = duration_s;
+  s.seed = seed;
+  s.phy.radio_range_m = 50.0;
+  s.phy.packet_error_rate = 0.0;
+  s.preestablished_reference = true;
+  s.sstsp.chain_length = 600;
+  return s;
+}
 
-struct MhNet {
-  sim::Simulator sim{31};
-  mac::PhyParams phy;
-  std::unique_ptr<mac::Channel> channel;
-  core::KeyDirectory directory;
-  MultiHopConfig cfg;
-  std::vector<std::unique_ptr<proto::Station>> stations;
-  std::vector<SstspMh*> protos;
+// Cluster scenarios run ClusterSstsp on every station (no attackers), so
+// the downcast is total.
+const ClusterSstsp& proto_of(run::Network& net, std::size_t i) {
+  return static_cast<const ClusterSstsp&>(net.station(i).protocol());
+}
 
-  explicit MhNet(double range_m) {
-    phy.packet_error_rate = 0.0;
-    phy.radio_range_m = range_m;
-    cfg.base.chain_length = 1500;
-    channel = std::make_unique<mac::Channel>(sim, phy);
-  }
-
-  SstspMh& add(mac::Position pos, double ppm, double offset_us,
-               bool reference = false) {
-    const auto id = static_cast<mac::NodeId>(stations.size());
-    auto st = std::make_unique<proto::Station>(
-        sim, *channel, id,
-        clk::HardwareClock(clk::DriftModel::from_ppm(ppm), offset_us), pos);
-    directory.register_node(
-        id, crypto::ChainParams{crypto::derive_seed(31, id),
-                                cfg.base.chain_length});
-    auto proto = std::make_unique<SstspMh>(*st, cfg, directory,
-                                           SstspMh::Options{reference});
-    protos.push_back(proto.get());
-    st->set_protocol(std::move(proto));
-    stations.push_back(std::move(st));
-    return *protos.back();
-  }
-
-  bool armed = false;
-
-  void run(double until_s) {
-    if (!armed) {
-      armed = true;
-      for (auto& st : stations) st->power_on();
+/// Index of the awake station holding cluster `c`'s reference role.
+std::optional<std::size_t> reference_of(run::Network& net, int c) {
+  for (std::size_t i = 0; i < net.station_count(); ++i) {
+    if (net.station(i).awake() && proto_of(net, i).cluster() == c &&
+        proto_of(net, i).is_reference()) {
+      return i;
     }
-    sim.run_until(sim::SimTime::from_sec_double(until_s));
   }
-
-  /// Max pairwise difference of awake, synchronized nodes' adjusted clocks.
-  double spread_us() const {
-    double lo = 1e18, hi = -1e18;
-    for (std::size_t i = 0; i < stations.size(); ++i) {
-      if (!stations[i]->awake() || !protos[i]->is_synchronized()) continue;
-      const double v = protos[i]->network_time_us(sim.now());
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-    return hi - lo;
-  }
-
-  int synced_count() const {
-    int n = 0;
-    for (const auto* p : protos) {
-      if (p->is_synchronized()) ++n;
-    }
-    return n;
-  }
-};
-
-/// A straight line: node i at (i * spacing, 0); with range in
-/// (spacing, 2*spacing) each node only hears its direct neighbours.
-void build_line(MhNet& net, int n, double spacing_m,
-                std::uint64_t drift_seed) {
-  sim::Rng rng(drift_seed);
-  for (int i = 0; i < n; ++i) {
-    net.add({i * spacing_m, 0.0}, rng.uniform(-100.0, 100.0),
-            rng.uniform(-50.0, 50.0), /*reference=*/i == 0);
-  }
+  return std::nullopt;
 }
 
 TEST(MultiHop, LineTopologySynchronizesEndToEnd) {
-  MhNet net(50.0);
-  build_line(net, 6, 40.0, 5);
-  net.run(20.0);
-  EXPECT_EQ(net.synced_count(), 6);
-  // Levels must be the hop distances along the line.
-  for (int i = 1; i < 6; ++i) {
-    EXPECT_EQ(net.protos[static_cast<std::size_t>(i)]->level(), i) << i;
-    EXPECT_EQ(net.protos[static_cast<std::size_t>(i)]->upstream(),
-              static_cast<mac::NodeId>(i - 1))
-        << i;
+  const run::Scenario s = chain(6, 20.0, 5);
+  run::Network net(s);
+  net.run();
+  for (std::size_t i = 0; i < net.station_count(); ++i) {
+    EXPECT_TRUE(proto_of(net, i).attached()) << i;
+    EXPECT_TRUE(proto_of(net, i).is_synchronized()) << i;
   }
-  EXPECT_LT(net.spread_us(), 60.0);  // per-hop error accumulates
+  // Depth is the gateway-hop distance along the chain, and each gateway's
+  // uplink follows its parent cluster's reference.
+  for (int c = 1; c < s.cluster.clusters; ++c) {
+    const auto gw = static_cast<std::size_t>(c * s.cluster.nodes_per_cluster);
+    const ClusterSstsp& cs = proto_of(net, gw);
+    ASSERT_TRUE(cs.gateway()) << c;
+    EXPECT_EQ(cs.depth(), c);
+    const auto parent_ref = reference_of(net, c - 1);
+    ASSERT_TRUE(parent_ref.has_value()) << c;
+    ASSERT_NE(cs.uplink(), nullptr) << c;
+    EXPECT_EQ(cs.uplink()->current_reference(),
+              static_cast<mac::NodeId>(*parent_ref))
+        << c;
+  }
 }
 
 TEST(MultiHop, ErrorGrowsWithHopCount) {
-  // End-to-end error over a long line vs a short one: per-hop accumulation.
-  MhNet short_line(50.0);
-  build_line(short_line, 3, 40.0, 6);
-  short_line.run(30.0);
-  const double short_spread = short_line.spread_us();
-
-  MhNet long_line(50.0);
-  build_line(long_line, 8, 40.0, 6);
-  long_line.run(30.0);
-  const double long_spread = long_line.spread_us();
-
-  EXPECT_EQ(short_line.synced_count(), 3);
-  EXPECT_EQ(long_line.synced_count(), 8);
-  EXPECT_GT(long_spread, short_spread);
+  // Each gateway hop adds its own translation error.
+  const run::RunResult short_chain = run::run_scenario(chain(2, 30.0, 6));
+  const run::RunResult long_chain = run::run_scenario(chain(7, 30.0, 6));
+  ASSERT_TRUE(short_chain.cluster_steady_max_us.has_value());
+  ASSERT_TRUE(long_chain.cluster_steady_max_us.has_value());
+  EXPECT_GT(*long_chain.cluster_steady_max_us,
+            *short_chain.cluster_steady_max_us);
 }
 
 TEST(MultiHop, SingleCellBehavesLikeSingleHop) {
-  // Everyone in range of the reference: all level 1, tight sync.
-  MhNet net(200.0);
-  sim::Rng rng(7);
-  for (int i = 0; i < 12; ++i) {
-    net.add({static_cast<double>(i), 0.0}, rng.uniform(-100.0, 100.0),
-            rng.uniform(-50.0, 50.0), i == 0);
+  // One cluster is plain single-domain SSTSP: no gateways, no translation.
+  run::Scenario s = chain(1, 15.0, 7);
+  s.cluster.nodes_per_cluster = 12;
+  s.num_nodes = s.cluster.total_nodes();
+  run::Network net(s);
+  net.run();
+  for (std::size_t i = 0; i < net.station_count(); ++i) {
+    EXPECT_TRUE(proto_of(net, i).is_synchronized()) << i;
+    EXPECT_FALSE(proto_of(net, i).gateway()) << i;
   }
-  net.run(15.0);
-  EXPECT_EQ(net.synced_count(), 12);
-  for (int i = 1; i < 12; ++i) {
-    EXPECT_EQ(net.protos[static_cast<std::size_t>(i)]->level(), 1);
-  }
-  EXPECT_LT(net.spread_us(), 25.0);
+  const auto spread = net.instant_max_diff_us();
+  ASSERT_TRUE(spread.has_value());
+  EXPECT_LT(*spread, 25.0);
 }
 
 TEST(MultiHop, RelaysOnlyForwardFreshTime) {
-  // Kill the reference: relays must go quiet within an interval or two
-  // (stale time is never relayed), rather than flooding old timestamps.
-  MhNet net(50.0);
-  build_line(net, 4, 40.0, 8);
-  net.run(10.0);
-  ASSERT_EQ(net.synced_count(), 4);
-  net.stations[0]->power_off();
-  const auto sent_before = net.protos[1]->stats().beacons_sent +
-                           net.protos[2]->stats().beacons_sent;
-  net.run(12.0);
-  const auto sent_after = net.protos[1]->stats().beacons_sent +
-                          net.protos[2]->stats().beacons_sent;
-  EXPECT_LE(sent_after - sent_before, 4u);
-  net.run(15.0);
-  const auto sent_final = net.protos[1]->stats().beacons_sent +
-                          net.protos[2]->stats().beacons_sent;
-  EXPECT_LE(sent_final - sent_after, 1u);
+  // The whole root cluster powers off: cluster 1's gateway must stop
+  // announcing within the staleness horizon (stale time is never relayed)
+  // and the subtree below it must detach instead of following a dead
+  // timescale.
+  const run::Scenario s = chain(4, 40.0, 8);
+  const int k = s.cluster.nodes_per_cluster;
+  const auto gw = static_cast<std::size_t>(k);
+  run::Network net(s);
+  net.arm();
+  net.run_until(20.0);
+  for (std::size_t i = 0; i < net.station_count(); ++i) {
+    ASSERT_TRUE(proto_of(net, i).is_synchronized()) << i;
+  }
+  for (int i = 0; i < k; ++i) {
+    net.station(static_cast<std::size_t>(i)).power_off();
+  }
+  const GatewayBridge* bridge = proto_of(net, gw).bridge();
+  ASSERT_NE(bridge, nullptr);
+  const std::uint64_t sent_before = bridge->announcements();
+
+  const double bp_s = s.phy.beacon_period.to_sec();
+  net.run_until(20.0 + (s.cluster.tau_stale_bps + 2) * bp_s);
+  const std::uint64_t sent_after = bridge->announcements();
+  EXPECT_LE(sent_after - sent_before,
+            static_cast<std::uint64_t>(s.cluster.tau_stale_bps));
+  net.run_until(25.0);
+  EXPECT_EQ(bridge->announcements(), sent_after);
+  for (std::size_t i = gw; i < net.station_count(); ++i) {
+    EXPECT_FALSE(proto_of(net, i).attached()) << i;
+    EXPECT_FALSE(proto_of(net, i).is_synchronized()) << i;
+  }
 }
 
 TEST(MultiHop, LevelStaggeredTakeoverAfterReferenceLoss) {
-  MhNet net(50.0);
-  net.cfg.takeover_patience_bps = 20;  // speed the test up
-  build_line(net, 4, 40.0, 9);
-  net.run(10.0);
-  ASSERT_EQ(net.synced_count(), 4);
-  net.stations[0]->power_off();
-  net.run(10.0 + 0.1 * (20 + 2) + 8.0);  // patience + rebuild slack
-  // The level-1 node must have seized the reference role and re-captured
-  // the rest.
-  EXPECT_TRUE(net.protos[1]->is_reference());
-  EXPECT_FALSE(net.protos[2]->is_reference());
-  EXPECT_EQ(net.protos[2]->upstream(), 1u);
-  // Reconvergence: the outage accumulated ~0.6 ms of free-run divergence;
-  // the rebuilt tree must pull everyone back together.
-  net.run(32.0);
-  EXPECT_LT(net.spread_us(), 100.0);
+  // The root reference powers off: one surviving root member takes the
+  // role and the whole chain re-attaches to the rebuilt root timescale.
+  const run::Scenario s = chain(4, 40.0, 9);
+  run::Network net(s);
+  net.arm();
+  net.run_until(15.0);
+  ASSERT_TRUE(proto_of(net, 0).is_reference());
+  net.station(0).power_off();
+  net.run_until(s.duration_s);
+
+  int root_refs = 0;
+  for (int i = 1; i < s.cluster.nodes_per_cluster; ++i) {
+    if (proto_of(net, static_cast<std::size_t>(i)).is_reference()) ++root_refs;
+  }
+  EXPECT_EQ(root_refs, 1);
+  for (std::size_t i = 1; i < net.station_count(); ++i) {
+    EXPECT_TRUE(proto_of(net, i).is_synchronized()) << i;
+  }
+  ASSERT_FALSE(net.cluster_spread_series().empty());
+  EXPECT_LT(net.cluster_spread_series().points().back().value_us,
+            s.cluster.cross_cluster_bound_us());
 }
 
 TEST(MultiHop, BeaconsArePerHopAuthenticated) {
-  MhNet net(50.0);
-  build_line(net, 4, 40.0, 10);
-  net.run(15.0);
-  proto::ProtocolStats agg;
-  for (const auto* p : net.protos) {
-    agg.rejected_key += p->stats().rejected_key;
-    agg.rejected_mac += p->stats().rejected_mac;
-    agg.beacons_sent += p->stats().beacons_sent;
+  // Every hop is authenticated against the sender's own hash chain: an
+  // honest chain rejects nothing, and every non-root member accepts
+  // bridged samples from its gateway.
+  const run::Scenario s = chain(4, 15.0, 10);
+  run::Network net(s);
+  net.run();
+  for (std::size_t i = 0; i < net.station_count(); ++i) {
+    const ClusterSstsp& cs = proto_of(net, i);
+    EXPECT_EQ(cs.stats().rejected_key, 0u) << i;
+    EXPECT_EQ(cs.stats().rejected_mac, 0u) << i;
+    if (cs.cluster() > 0 && !cs.gateway()) {
+      ASSERT_NE(cs.home_tau(), nullptr) << i;
+      EXPECT_GT(cs.home_tau()->samples_accepted(), 0u) << i;
+    }
   }
-  EXPECT_EQ(agg.rejected_key, 0u);
-  EXPECT_EQ(agg.rejected_mac, 0u);
-  // Reference + up to 3 relays each interval.
-  EXPECT_GT(agg.beacons_sent, 300u);
 }
 
 TEST(MultiHop, AdjustedClocksNeverLeap) {
-  MhNet net(50.0);
-  build_line(net, 5, 40.0, 11);
-  std::vector<double> prev(5, -1e18);
+  const run::Scenario s = chain(3, 15.0, 11);
+  run::Network net(s);
+  net.arm();
+  const std::size_t n = net.station_count();
+  std::vector<double> prev_member(n, -1e18);
+  std::vector<double> prev_network(n, -1e18);
   for (int step = 1; step <= 1500; ++step) {
-    net.run(0.01 * step);
-    for (std::size_t i = 0; i < 5; ++i) {
-      const double v = net.protos[i]->network_time_us(net.sim.now());
-      if (prev[i] > -1e17) {
-        ASSERT_GT(v, prev[i]) << "station " << i;
-        ASSERT_LT(v - prev[i], 10'200.0) << "station " << i;
+    net.run_until(0.01 * step);
+    const sim::SimTime now = net.simulator().now();
+    for (std::size_t i = 0; i < n; ++i) {
+      const ClusterSstsp& cs = proto_of(net, i);
+      const double member = cs.member().adjusted().read_us(now);
+      if (prev_member[i] > -1e17) {
+        ASSERT_GT(member, prev_member[i]) << "station " << i;
+        ASSERT_LT(member - prev_member[i], 10'200.0) << "station " << i;
       }
-      prev[i] = v;
+      prev_member[i] = member;
+      if (!cs.attached()) {
+        prev_network[i] = -1e18;
+        continue;
+      }
+      const double network = cs.network_time_us(now);
+      if (prev_network[i] > -1e17) {
+        ASSERT_GT(network, prev_network[i]) << "station " << i;
+        ASSERT_LT(network - prev_network[i], 10'200.0) << "station " << i;
+      }
+      prev_network[i] = network;
     }
   }
 }
 
 }  // namespace
-}  // namespace sstsp::multihop
+}  // namespace sstsp::cluster
